@@ -20,7 +20,7 @@ Per-run accounting (questions, answers, spend) is collected in
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -310,7 +310,8 @@ class Executor:
         return ordered
 
     def _vectorized_filter(self, node: FilterNode) -> tuple[Schema, list[dict[str, Any]]] | None:
-        """Fuse a machine filter chain over a scan into one vectorized pass."""
+        """Fuse a machine filter chain over a scan or a machine join into one
+        vectorized pass."""
         try:
             resolved = self._columnar_rows(node)
         except ExpressionError:
@@ -318,10 +319,18 @@ class Executor:
             # raised vectorized may not be reachable row-at-a-time; re-run
             # the exact per-row semantics instead of guessing.
             return None
-        if resolved is None:
-            return None
-        table, pos = resolved
-        return table.schema, self._materialize(table, pos)
+        if resolved is not None:
+            table, pos = resolved
+            return table.schema, self._materialize(table, pos)
+        filters: list[Expression] = []
+        below: PlanNode = node
+        while isinstance(below, FilterNode) and not contains_crowd_predicate(below.predicate):
+            filters.append(below.predicate)
+            below = below.child
+        if isinstance(below, JoinNode):
+            # The row path filters the joined rows innermost-first.
+            return self._columnar_join(below, filters[::-1])
+        return None
 
     @staticmethod
     def _machine_prefix(expr: Expression) -> tuple[Expression, Expression] | None:
@@ -639,14 +648,60 @@ class Executor:
         return out
 
     def _columnar_join(
-        self, node: JoinNode
+        self, node: JoinNode, filters: Sequence[Expression] = ()
     ) -> tuple[Schema, list[dict[str, Any]]] | None:
         """Equi-join two machine scan/filter chains on their column arrays.
 
-        Build/probe happens on key arrays before any row dict exists; only
-        matched pairs materialize. Output order is the nested-loop order —
-        left rows in order, each left row's matches in right insertion
-        order — so results are bit-identical to the fallback.
+        Build/probe happens on key arrays before any row dict exists. The
+        join's residual conjuncts, then *filters* (machine predicates of a
+        filter chain above the join, innermost first), are evaluated on
+        columns gathered at the matched pairs; only surviving pairs
+        materialize. Output order is the nested-loop order — left rows in
+        order, each left row's matches in right insertion order — so results
+        are bit-identical to the row path, which an :class:`ExpressionError`
+        falls back to.
+        """
+        pairs = self._join_pairs(node)
+        if pairs is None:
+            return None
+        ltab, lpos, rtab, rpos, residual = pairs
+        # The row path applies the residual as one conjunction per matched
+        # pair, then each filter to the previous one's survivors.
+        predicates = [conjoin(residual), *filters] if residual else filters
+        try:
+            for predicate in predicates:
+                if lpos.size == 0:
+                    break
+                batch = self._pair_batch(predicate, ltab, lpos, rtab, rpos)
+                true, _null, _cnull = evaluate_tristate(predicate, batch, int(lpos.size))
+                lpos, rpos = lpos[true], rpos[true]
+        except ExpressionError:
+            return None
+        lrids, rrids = ltab.rowids(), rtab.rowids()
+        lstore, rstore = ltab.store, rtab.store
+        lcache: dict[int, dict[str, Any]] = {}
+        rcache: dict[int, dict[str, Any]] = {}
+        out = []
+        for lp, rp in zip(lpos.tolist(), rpos.tolist(), strict=True):
+            lrow = lcache.get(lp)
+            if lrow is None:
+                lrow = lcache[lp] = lstore.row_dict(int(lrids[lp]))
+            rrow = rcache.get(rp)
+            if rrow is None:
+                rrow = rcache[rp] = rstore.row_dict(int(rrids[rp]))
+            out.append({**lrow, **rrow})
+        return ltab.schema.join(rtab.schema, "left", "right"), out
+
+    def _join_pairs(
+        self, node: JoinNode
+    ) -> tuple[Table, np.ndarray, Table, np.ndarray, list[Expression]] | None:
+        """Matched pairs of a machine equi-join of two scan/filter chains.
+
+        Returns ``(left_table, left_positions, right_table, right_positions,
+        residual_conjuncts)``: parallel live-order position arrays, one entry
+        per key match in nested-loop order, with the residual not yet
+        applied. None when either side is not a columnar chain, the chain
+        raises, or the condition has no equi key.
         """
         try:
             lres = self._columnar_rows(node.left)
@@ -658,7 +713,6 @@ class Executor:
         ltab, lpos = lres
         rtab, rpos = rres
         left_schema, right_schema = ltab.schema, rtab.schema
-        joined_schema = left_schema.join(right_schema, "left", "right")
         clashes = set(left_schema.column_names) & set(right_schema.column_names)
         if clashes:
             raise ExecutionError(
@@ -669,10 +723,8 @@ class Executor:
         if split is None:
             return None
         keys, residual = split
-        lcols = [a for a, _ in keys]
-        rcols = [b for _, b in keys]
-        lkeys = self._key_columns(ltab, lpos, lcols)
-        rkeys = self._key_columns(rtab, rpos, rcols)
+        lkeys = self._key_columns(ltab, lpos, [a for a, _ in keys])
+        rkeys = self._key_columns(rtab, rpos, [b for _, b in keys])
         if (
             len(keys) == 1
             and lkeys[0][0].dtype == rkeys[0][0].dtype
@@ -681,24 +733,29 @@ class Executor:
             lmatch, rmatch = self._probe_sorted(lkeys[0], rkeys[0])
         else:
             lmatch, rmatch = self._probe_dict(lkeys, rkeys)
-        res_expr = conjoin(residual) if residual else None
-        lrids = ltab.rowids()[lpos] if lpos.size != len(ltab) else ltab.rowids()
-        rrids = rtab.rowids()[rpos] if rpos.size != len(rtab) else rtab.rowids()
-        lstore, rstore = ltab.store, rtab.store
-        lcache: dict[int, dict[str, Any]] = {}
-        rcache: dict[int, dict[str, Any]] = {}
-        out = []
-        for lp, rp in zip(lmatch.tolist(), rmatch.tolist(), strict=True):
-            lrow = lcache.get(lp)
-            if lrow is None:
-                lrow = lcache[lp] = lstore.row_dict(int(lrids[lp]))
-            rrow = rcache.get(rp)
-            if rrow is None:
-                rrow = rcache[rp] = rstore.row_dict(int(rrids[rp]))
-            merged = {**lrow, **rrow}
-            if res_expr is None or res_expr.evaluate(merged) is True:
-                out.append(merged)
-        return joined_schema, out
+        return ltab, lpos[lmatch], rtab, rpos[rmatch], residual
+
+    @staticmethod
+    def _pair_batch(
+        expr: Expression,
+        ltab: Table,
+        lpos: np.ndarray,
+        rtab: Table,
+        rpos: np.ndarray,
+    ) -> dict[str, ColumnVector]:
+        """Column batch for *expr* over joined pairs, one cell per pair.
+
+        Like :meth:`_batch_for`, columns neither side has are left out so
+        the vector evaluator raises the row path's "row has no column".
+        """
+        batch: dict[str, ColumnVector] = {}
+        for name in expr.columns():
+            for table, pos in ((ltab, lpos), (rtab, rpos)):
+                if name in table.schema:
+                    vec = table.column_vector(name)
+                    batch[name] = ColumnVector(vec.values[pos], vec.null[pos], vec.cnull[pos])
+                    break
+        return batch
 
     @staticmethod
     def _key_columns(
@@ -880,9 +937,14 @@ class Executor:
         predicate: CrowdPredicate,
         question: str,
         values: tuple[Any, ...],
+        signature: str | None,
         stats: ExecutionStats,
     ) -> Task | None:
-        """Build the yes/no task for *predicate*, or None when pruned."""
+        """Build the yes/no task for *predicate*, or None when pruned.
+
+        *signature* is the question's :func:`signature_of`, already computed
+        for the verdict memo; the task carries it to the answer cache.
+        """
         if predicate.kind == "equal":
             a, b = values
             prune = self.oracle.equal_similarity_prune
@@ -911,6 +973,7 @@ class Executor:
             question=question,
             options=(YES, NO),
             truth=YES if truth else NO,
+            signature=signature,
         )
 
     def _verdict_from(self, task: Task, answers: list[Any]) -> bool:
@@ -929,7 +992,7 @@ class Executor:
         if signature in self._verdicts:
             return self._verdicts[signature]
 
-        task = self._plan_task(predicate, question, values, stats)
+        task = self._plan_task(predicate, question, values, signature, stats)
         if task is None:
             self._verdicts[signature] = False
             return False

@@ -8,20 +8,22 @@ keeps paying for upstream answers it will never read.
 
 :class:`StreamingExecutor` compiles supported plan shapes into a pipeline:
 
-* the machine-decidable input (scan/filter chains, the join's hash side)
-  is resolved vectorized up front via the columnar fast paths;
-* every crowd question of the statement is planned deterministically on
-  the caller's thread in row order, then handed to the
+* the machine-decidable input (scan/filter chains, machine filters over a
+  machine equi-join, the join's hash side) is resolved vectorized up
+  front via the columnar fast paths;
+* every crowd question of the statement is planned deterministically in
+  row order — hashed once into the content signature the task carries to
+  the answer cache — then handed to the
   :class:`~repro.platform.batch.BatchScheduler` as *one* run whose batches
   saturate all lanes;
 * as each batch (a *wave*) lands, verdicts propagate downstream
   immediately — a crowd filter feeds the join's probe side while its
   remaining waves are still pending;
 * early termination propagates *upstream*: once TOP-K/LIMIT has emitted
-  enough rows, still-pending HITs are cancelled through the scheduler's
-  cancel seam (the one hedging refunds ride through), never published,
-  and the avoided spend is booked in ``ExecutionStats``, platform stats,
-  metrics, and the profiler.
+  enough rows, the scheduler's ``stop`` signal fires at the next batch
+  boundary and every still-pending HIT ends ``CANCELLED``, never
+  published, with the avoided spend booked in ``ExecutionStats``,
+  platform stats, metrics, and the profiler.
 
 Determinism: planning order equals row order, which is exactly the order
 the barrier path consumes the pool/platform RNG streams in, so with no
@@ -64,7 +66,7 @@ from repro.lang.planner import (
     ProjectNode,
 )
 from repro.platform.cache import signature_of
-from repro.platform.task import Task, TaskType
+from repro.platform.task import Task, TaskState, TaskType
 
 
 class _Unsupported(Exception):
@@ -288,10 +290,10 @@ class StreamingExecutor(Executor):
         # before it can sort: collect, then sort at the end.
         drain = pipe.order is not None and not topk
 
-        # Deterministic planning pass: questions are planned on this thread
-        # in row order — the same pool-RNG consumption order as the barrier
-        # path — and deduplicated by content signature, so concurrently
-        # in-flight rows sharing a question share one task.
+        # Deterministic planning pass: questions are planned in row order —
+        # the same pool-RNG consumption order as the barrier path — and
+        # deduplicated by content signature, so concurrently in-flight rows
+        # sharing a question share one task.
         planned: list[tuple[dict[str, Any], bool, str]] = []
         sig_task: dict[str, Task] = {}
         for row in rows:
@@ -307,7 +309,7 @@ class StreamingExecutor(Executor):
             question, values = self._crowd_question(pipe.predicate, row)
             signature = signature_of(TaskType.SINGLE_CHOICE, question, (YES, NO))
             if signature not in self._verdicts and signature not in sig_task:
-                task = self._plan_task(pipe.predicate, question, values, stats)
+                task = self._plan_task(pipe.predicate, question, values, signature, stats)
                 if task is None:
                     self._verdicts[signature] = False  # similarity-pruned
                 else:
@@ -315,7 +317,6 @@ class StreamingExecutor(Executor):
             planned.append((row, ok, signature))
 
         tasks = list(sig_task.values())
-        task_sig = {t.task_id: sig for sig, t in sig_task.items()}
         operator = "crowd_join" if pipe.join is not None else "crowd_filter"
         metrics = self.platform.metrics
 
@@ -324,7 +325,6 @@ class StreamingExecutor(Executor):
         seen: set[tuple[Any, ...]] = set()
         state = {"frontier": 0, "done": False}
         resolved_ids: set[str] = set()
-        cancelled_ids: set[str] = set()
 
         def emit(row: dict[str, Any]) -> None:
             matches = probe(row) if probe is not None else [row]
@@ -361,25 +361,23 @@ class StreamingExecutor(Executor):
 
         def on_batch(batch: list[Task], run_result: Any) -> None:
             for task in batch:
-                signature = task_sig.get(task.task_id)
-                if signature is None or task.task_id in resolved_ids:
+                if task.task_id in resolved_ids:
                     continue
                 resolved_ids.add(task.task_id)
                 answers = run_result.answers.get(task.task_id, [])
-                self._verdicts[signature] = self._verdict_from(task, answers)
+                self._verdicts[task.signature] = self._verdict_from(task, answers)
                 stats.crowd_questions += 1
                 stats.crowd_answers += len(answers)
             advance()
-            in_flight = len(tasks) - len(resolved_ids) - len(cancelled_ids)
+            # A stop ends the run, so no task is cancelled while one lands.
             metrics.set_gauge(
-                "operators.in_flight", float(in_flight), labels={"operator": operator}
+                "operators.in_flight",
+                float(len(tasks) - len(resolved_ids)),
+                labels={"operator": operator},
             )
 
-        def cancel(task: Task) -> str | None:
-            if state["done"]:
-                cancelled_ids.add(task.task_id)
-                return "early_termination"
-            return None
+        def stop() -> str | None:
+            return "early_termination" if state["done"] else None
 
         if pipe.limit is not None and pipe.limit <= 0:
             state["done"] = True
@@ -396,18 +394,17 @@ class StreamingExecutor(Executor):
             run_result = self.platform.scheduler.run(
                 tasks,
                 redundancy=self.redundancy,
-                cancel=cancel,
+                stop=stop,
                 on_batch=on_batch,
             )
             # Final drain: cache hits materialize only when the run ends,
             # and halted (breaker/budget) batches never reach on_batch —
             # resolve what is still undecided, barrier-style.
             for task in tasks:
-                if task.task_id in resolved_ids or task.task_id in cancelled_ids:
+                if task.task_id in resolved_ids or task.state is TaskState.CANCELLED:
                     continue
-                signature = task_sig[task.task_id]
                 answers = run_result.answers.get(task.task_id, [])
-                self._verdicts[signature] = self._verdict_from(task, answers)
+                self._verdicts[task.signature] = self._verdict_from(task, answers)
                 stats.crowd_questions += 1
                 stats.crowd_answers += len(answers)
             advance()

@@ -7,23 +7,27 @@ a retry limit is hit (the Reprowd / human-powered-sorts-and-joins regime).
 :class:`BatchScheduler` brings that execution model to the simulation:
 
 * pending tasks are grouped into batches of ``batch_size``;
-* each batch's assignments are dispatched through a bounded
-  ``ThreadPoolExecutor`` (``max_parallel`` lanes) and stamped onto a
-  simulated clock with the same number of concurrent lanes, so *simulated*
-  makespan shrinks as parallelism grows;
+* each batch's assignments are simulated in dispatch order and stamped onto
+  a simulated clock with ``max_parallel`` concurrent lanes, so *simulated*
+  makespan shrinks as parallelism grows. Lanes are simulated, not OS
+  threads: the simulation is deterministic pure Python, so threads would
+  buy neither determinism nor speed;
 * per-assignment faults — worker abandonment (``abandon_rate``) and
   service times exceeding ``assignment_timeout`` — trigger bounded
   retry-with-exponential-backoff on a fresh worker, and exhausting the
-  retry budget raises :class:`~repro.errors.RetryExhaustedError`.
+  retry budget raises :class:`~repro.errors.RetryExhaustedError`;
+* an optional *stop* signal, checked once per batch boundary, ends a run
+  early: every still-pending task is cancelled before publication and its
+  would-be spend booked as avoided (the streaming executor's TOP-K/LIMIT
+  early termination).
 
-Determinism: planning (worker sampling) always happens on the caller's
-thread in task order, so the pool's RNG stream is consumed identically at
-any parallelism. With ``max_parallel=1`` attempts also draw from the
-platform RNG in the legacy order, making the sequential path bit-identical
-to :meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every
-assignment gets its own RNG derived from ``(seed, assignment index)``, so
-results are reproducible regardless of thread interleaving — just a
-different (equally valid) random stream than the sequential one.
+Determinism: planning (worker sampling) happens in task order, so the
+pool's RNG stream is consumed identically at any ``max_parallel``. With
+``max_parallel=1`` attempts also draw from the platform RNG in the legacy
+order, making the sequential path bit-identical to
+:meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every assignment
+gets its own RNG derived from ``(seed, assignment index)``: a different
+(equally valid) random stream than the sequential one.
 
 Tail-latency control (``hedge_enabled``): the scheduler fits per-task-type
 lognormal completion-time models online (:class:`HedgeState`, built on
@@ -44,7 +48,6 @@ import itertools
 import math
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -71,8 +74,11 @@ class BatchConfig:
 
     Attributes:
         batch_size: Tasks grouped into one dispatch wave.
-        max_parallel: Concurrent assignment lanes (threads and simulated
-            clock lanes). 1 reproduces the sequential path bit-for-bit.
+        max_parallel: Simulated concurrent assignment lanes of the
+            makespan clock, and the RNG regime: 1 draws every attempt from
+            the platform RNG (the sequential path, bit-for-bit); more draws
+            each attempt from its own ``(seed, stream)`` generator. No OS
+            thread is started either way.
         retry_limit: Retries per assignment after the first attempt.
         assignment_timeout: Simulated seconds after which an in-flight
             assignment is reclaimed and retried; None disables timeouts.
@@ -333,7 +339,8 @@ class BatchScheduler:
 
     @property
     def parallel(self) -> bool:
-        """True when this scheduler actually runs assignments concurrently."""
+        """True when assignments run on several simulated lanes, each
+        drawing from its own ``(seed, stream)`` generator."""
         return self.config.max_parallel > 1
 
     @property
@@ -368,8 +375,9 @@ class BatchScheduler:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: Callable[[Task], str | None] | None = None,
+        stop: Callable[[], str | None] | None = None,
         on_batch: Callable[[list[Task], BatchRunResult], None] | None = None,
+        cancel: None = None,
     ) -> BatchRunResult:
         """Gather *redundancy* answers per task, batch by batch.
 
@@ -378,15 +386,19 @@ class BatchScheduler:
         afterwards unless *complete* is False (round-structured callers keep
         them open for further answers).
 
-        *cancel*, consulted for every still-pending task at each batch
-        boundary, returns a reason string to drop the task before it is
-        ever published (its would-be spend is refunded and counted in
-        ``stats.tasks_cancelled`` / ``stats.cancel_cost_refunded``) or
-        None to keep it queued. *on_batch* is invoked after each
+        *stop* is called once at each batch boundary, before the next
+        batch is dispatched. When it returns a reason string, every
+        still-pending task is dropped before it is ever published: in
+        queue order its would-be spend is booked as avoided (counted in
+        ``stats.tasks_cancelled`` / ``stats.cancel_cost_refunded`` and the
+        ``batch.cancellations{reason}`` metric), the task ends
+        ``CANCELLED``, and the run ends. *on_batch* is invoked after each
         successfully dispatched batch with the batch's tasks and the
         running result, letting streaming callers consume answers
         wave-by-wave. Neither hook fires when left as None, keeping the
-        default path bit-identical to the hook-free runtime.
+        default path bit-identical to the hook-free runtime. *cancel* is
+        accepted only as None, for wrappers that still forward the
+        keyword of the per-task hook *stop* replaced.
 
         Failure behaviour follows ``config.failure_policy``: under
         ``"fail"`` an assignment that cannot be completed raises
@@ -399,6 +411,8 @@ class BatchScheduler:
         Circuit breakers in :attr:`breakers` are consulted at batch
         boundaries when the policy is not ``"fail"``.
         """
+        if cancel is not None:
+            raise TypeError("the per-task cancel hook was removed; pass stop=")
         if redundancy < 1:
             raise ConfigurationError(f"redundancy must be >= 1, got {redundancy}")
         policy = FailurePolicy.parse(self.config.failure_policy)
@@ -422,17 +436,11 @@ class BatchScheduler:
         halted: str | None = None
         pending = deque(run_tasks)
         while pending:
-            if cancel is not None:
-                kept: list[Task] = []
+            reason = stop() if stop is not None else None
+            if reason is not None:
                 for task in pending:
-                    reason = cancel(task)
-                    if reason is None:
-                        kept.append(task)
-                    else:
-                        self._cancel_task(task, reason, redundancy)
-                pending = deque(kept)
-                if not pending:
-                    break
+                    self._cancel_task(task, reason, redundancy)
+                break
             batch = [pending.popleft() for _ in range(min(size, len(pending)))]
             if halted is None and self._budget_exhausted:
                 halted = "budget_exhausted"
@@ -547,7 +555,9 @@ class BatchScheduler:
         The task was never published, priced, or charged, so the "refund" is
         spend *avoided*: the price the task would have cost at the requested
         redundancy. Counted in stats/metrics so early termination shows up
-        in batch summaries, the profiler, and Prometheus scrapes.
+        in batch summaries, the profiler, and Prometheus scrapes. The task
+        ends ``CANCELLED``; coalesced duplicates follow it in
+        :meth:`~repro.platform.cache.AnswerCache.apply`.
         """
         platform = self.platform
         refund = platform.pricing.price(task) * redundancy
@@ -558,6 +568,8 @@ class BatchScheduler:
             platform.tracer.annotate(
                 "batch.cancel", task_id=task.task_id, reason=reason
             )
+        if task.is_open:
+            task.cancel()
 
     # ------------------------------------------------------------------ #
     # One batch
@@ -591,10 +603,11 @@ class BatchScheduler:
                         "fault.outage", sim_start=self._clock, wait=outage
                     )
 
-        # Plan on the caller's thread: the pool RNG stream is consumed in
-        # task order exactly as the sequential path would. Workers who have
-        # already answered a task (round-structured callers) are excluded,
-        # which is a no-op — hence still bit-identical — for fresh tasks.
+        # Plan the whole batch before any attempt: the pool RNG stream is
+        # consumed in task order exactly as the sequential path would.
+        # Workers who have already answered a task (round-structured
+        # callers) are excluded, which is a no-op — hence still
+        # bit-identical — for fresh tasks.
         wave: list[_Assignment] = []
         order = 0
         for task in batch:
@@ -610,9 +623,9 @@ class BatchScheduler:
         retry_counts: dict[str, int] = {}
         while wave:
             self._execute_wave(wave)
-            # Hedge planning happens on the caller's thread in wave order
-            # (pool RNG determinism), then the hedge copies run as one
-            # mini-wave after their primaries.
+            # Hedge planning happens in wave order (pool RNG determinism),
+            # then the hedge copies run as one mini-wave after their
+            # primaries.
             if self.hedge_state is not None:
                 hedges = self._plan_hedges(wave, attempted)
                 if hedges:
@@ -756,10 +769,10 @@ class BatchScheduler:
     ) -> list[_Assignment]:
         """Attach a speculative copy to each straggling successful attempt.
 
-        Runs on the caller's thread in wave order, so the pool RNG stream
-        is identical at any parallelism. Faulted attempts are left to the
-        retry path; a pool with no spare eligible worker skips the hedge
-        without consuming RNG (``pool.sample`` raises before drawing).
+        Runs in wave order, so the pool RNG stream is identical at any
+        parallelism. Faulted attempts are left to the retry path; a pool
+        with no spare eligible worker skips the hedge without consuming RNG
+        (``pool.sample`` raises before drawing).
         """
         state = self.hedge_state
         wave_workers: dict[str, set[str]] = {}
@@ -878,16 +891,16 @@ class BatchScheduler:
 
     def _execute_wave(self, wave: list[_Assignment]) -> None:
         """Fill in each assignment's (fault, duration, value) in place."""
-        if not self.parallel:
-            # Sequential: draw from the platform RNG in dispatch order —
-            # with faults off this is the legacy collect() stream exactly.
+        if self.parallel:
+            # Every assignment draws from its own (seed, stream) generator,
+            # so dispatch order cannot change a draw.
             for a in wave:
-                self._attempt(a, self.platform.rng)
+                self._attempt_isolated(a)
             return
-        with ThreadPoolExecutor(max_workers=self.config.max_parallel) as pool:
-            futures = [pool.submit(self._attempt_isolated, a) for a in wave]
-            for future in futures:
-                future.result()  # re-raise worker-thread exceptions
+        # Sequential: draw from the platform RNG in dispatch order — with
+        # faults off this is the legacy collect() stream exactly.
+        for a in wave:
+            self._attempt(a, self.platform.rng)
 
     def _attempt_isolated(self, a: _Assignment) -> None:
         entropy = (
@@ -910,8 +923,8 @@ class BatchScheduler:
         faults = self.platform.faults
         if faults is not None:
             # Keyed by the assignment's global stream id — identical at any
-            # parallelism; only the flag is set here (worker thread), the
-            # metric is counted on the caller thread.
+            # parallelism; only the flag is set here, the metric is counted
+            # at commit.
             duration, a.straggled = faults.perturb_duration(a.stream, duration)
         if cfg.assignment_timeout is not None and duration > cfg.assignment_timeout:
             a.fault = "timeout"
@@ -922,7 +935,7 @@ class BatchScheduler:
         a.value = a.worker.model.answer(a.task, rng)
 
     # ------------------------------------------------------------------ #
-    # Commit (always on the caller's thread, in deterministic order)
+    # Commit (in deterministic wave order)
     # ------------------------------------------------------------------ #
 
     def _commit(self, a: _Assignment, result: BatchRunResult, finished: float) -> None:

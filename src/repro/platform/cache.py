@@ -53,7 +53,7 @@ from typing import Any, Sequence
 
 from repro.errors import CacheError, ConfigurationError
 from repro.obs.metrics import MetricsRegistry
-from repro.platform.task import Answer, Task, TaskType
+from repro.platform.task import Answer, Task, TaskState, TaskType
 
 CACHE_FORMAT_VERSION = 1
 
@@ -125,9 +125,12 @@ def task_signature(task: Task) -> "str | None":
     workers, so replaying a stored answer would defeat quality control.
     ``truth`` and ``reward`` are deliberately *not* part of the signature —
     neither is shown to workers, and pricing must not fragment the cache.
+    A signature the planner already stored on the task is used as is.
     """
     if task.is_gold:
         return None
+    if task.signature is not None:
+        return task.signature
     return signature_of(
         task.task_type, task.question, task.options, task.payload, task.difficulty
     )
@@ -374,8 +377,10 @@ class AnswerCache:
         Stores the canonical misses' fresh answers, fans them out to the
         coalesced duplicates (mirroring the canonical's timing but paying
         nothing), merges the hits into *answers*, and completes served
-        tasks when *complete*. Returns how many answers were fanned out to
-        duplicates (the hit replays were already counted by resolve).
+        tasks when *complete*. Duplicates of a canonical that was cancelled
+        before publication are cancelled too and get no answers entry.
+        Returns how many answers were fanned out to duplicates (the hit
+        replays were already counted by resolve).
         """
         for task_id, signature in resolution.signatures.items():
             fresh = answers.get(task_id)
@@ -383,6 +388,11 @@ class AnswerCache:
                 self.store_signature(signature, resolution.canonical[task_id], fresh)
         fanned_out = 0
         for canonical_id, dups in resolution.duplicates.items():
+            if resolution.canonical[canonical_id].state is TaskState.CANCELLED:
+                for dup in dups:
+                    if dup.is_open:
+                        dup.cancel()
+                continue
             source = answers.get(canonical_id, [])
             for dup in dups:
                 answers[dup.task_id] = [

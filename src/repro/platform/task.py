@@ -72,6 +72,10 @@ class Task:
         reward: Payment per assignment, in abstract currency units.
         is_gold: True for hidden qualification tasks whose truth is known to
             the requester (used by worker quality control).
+        signature: Content signature precomputed by the planner (see
+            :func:`repro.platform.cache.signature_of`), so the answer cache
+            does not hash the question a second time; None means it is
+            computed on demand.
     """
 
     task_type: TaskType
@@ -84,6 +88,7 @@ class Task:
     is_gold: bool = False
     task_id: str = field(default_factory=_next_task_id)
     state: TaskState = TaskState.OPEN
+    signature: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.task_type in (TaskType.SINGLE_CHOICE, TaskType.MULTI_CHOICE) and not self.options:

@@ -50,7 +50,7 @@ class WorkUnit:
         "tasks",
         "redundancy",
         "complete",
-        "cancel",
+        "stop",
         "on_batch",
         "enqueued_turn",
         "result",
@@ -66,14 +66,14 @@ class WorkUnit:
         tasks: "list[Task]",
         redundancy: int,
         complete: bool,
-        cancel: "Callable[[Task], str | None] | None" = None,
+        stop: "Callable[[], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
     ) -> None:
         self.tenant = tenant
         self.tasks = tasks
         self.redundancy = redundancy
         self.complete = complete
-        self.cancel = cancel
+        self.stop = stop
         self.on_batch = on_batch
         self.enqueued_turn = 0
         self.result: Any = None
@@ -274,7 +274,7 @@ class CrowdService:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: "Callable[[Task], str | None] | None" = None,
+        stop: "Callable[[], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
     ) -> Any:
         """Queue one crowd request and block until the dispatcher ran it.
@@ -288,7 +288,7 @@ class CrowdService:
         if isinstance(tenant, str):
             tenant = self.tenant(tenant)
         unit = WorkUnit(
-            tenant, list(tasks), redundancy, complete, cancel=cancel, on_batch=on_batch
+            tenant, list(tasks), redundancy, complete, stop=stop, on_batch=on_batch
         )
         self._enqueue(unit)
         return unit.wait()
@@ -407,7 +407,7 @@ class CrowdService:
                         unit.tasks,
                         redundancy=unit.redundancy,
                         complete=unit.complete,
-                        cancel=unit.cancel,
+                        stop=unit.stop,
                         on_batch=unit.on_batch,
                     )
                 else:

@@ -119,7 +119,7 @@ class TenantScheduler:
     """Scheduler façade: ``run`` goes through the fair-share dispatcher.
 
     The streaming executor drives crowd waves through
-    ``platform.scheduler.run(tasks, ..., cancel=..., on_batch=...)``;
+    ``platform.scheduler.run(tasks, ..., stop=..., on_batch=...)``;
     routing that call through the service keeps the hooks intact (they
     fire on the dispatcher thread while the session thread is blocked
     inside ``run``, exactly the threading contract of the plain path).
@@ -137,7 +137,7 @@ class TenantScheduler:
         redundancy: int = 3,
         complete: bool = True,
         *,
-        cancel: "Callable[[Task], str | None] | None" = None,
+        stop: "Callable[[], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
     ) -> "BatchRunResult":
         """Queue one scheduler run through the service's fair-share lanes."""
@@ -146,7 +146,7 @@ class TenantScheduler:
             tasks,
             redundancy=redundancy,
             complete=complete,
-            cancel=cancel,
+            stop=stop,
             on_batch=on_batch,
         )
 

@@ -4,8 +4,14 @@ import json
 
 import pytest
 
-from repro.data.schema import CNULL, is_cnull
+import repro.lang.executor
+import repro.lang.streaming
+import repro.platform.cache
+from repro.data.database import Database
+from repro.data.schema import CNULL, SchemaBuilder, is_cnull
 from repro.errors import CacheError, ConfigurationError
+from repro.lang.executor import CrowdOracle
+from repro.lang.interpreter import CrowdSQLSession
 from repro.obs.metrics import MetricsRegistry
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import (
@@ -94,6 +100,84 @@ class TestSignature:
     def test_opaque_payload_is_uncacheable(self):
         sig = signature_of(TaskType.FILL, "q?", (), {"blob": object()})
         assert sig is None
+
+
+#: sha256 content signature of one CrowdSQL yes/no question. Pinned so the
+#: key format of spilled JSONL caches cannot drift.
+GOLDEN_YES_NO = "e25450a3856a3cb8ce72a1dafd66bd4d91b64bc78e000a509acf29566e89360b"
+
+SIGNATURE_SQL = (
+    "SELECT name FROM items WHERE price > 10 AND CROWDFILTER(name, 'in stock?')",
+    "SELECT name, label FROM items CROWDJOIN labels ON CROWDEQUAL(name, label)",
+)
+
+
+def signature_session(pipeline: bool) -> CrowdSQLSession:
+    database = Database()
+    items = SchemaBuilder().string("name").integer("price").build()
+    database.create_table(
+        "items", items, rows=[{"name": f"item {i}", "price": i * 7 % 30} for i in range(12)]
+    )
+    labels = SchemaBuilder().string("label").build()
+    database.create_table("labels", labels, rows=[{"label": "item 3"}, {"label": "box"}])
+    platform = make_platform(
+        batch=BatchConfig(batch_size=4, max_parallel=8, seed=3), cache=AnswerCache()
+    )
+    return CrowdSQLSession(
+        database,
+        platform,
+        oracle=CrowdOracle(filter_fn=lambda value, _q: value.endswith(("1", "4"))),
+        pipeline=pipeline,
+    )
+
+
+class TestPlannerSignatures:
+    """CrowdSQL hashes each question once; the task carries the signature."""
+
+    def test_golden_yes_no_signature(self):
+        question = "is it in stock? — value: item 7"
+        assert signature_of(TaskType.SINGLE_CHOICE, question, ("yes", "no")) == GOLDEN_YES_NO
+        assert task_signature(single_choice(question, ("yes", "no"))) == GOLDEN_YES_NO
+
+    def test_carried_signature_is_not_recomputed(self):
+        task = single_choice("q?", ("yes", "no"))
+        task.signature = "precomputed"
+        assert task_signature(task) == "precomputed"
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_resolved_tasks_carry_their_content_signature(self, pipeline, monkeypatch):
+        seen: list[Task] = []
+        resolve = AnswerCache.resolve
+
+        def spy(cache, tasks, redundancy):
+            seen.extend(tasks)
+            return resolve(cache, tasks, redundancy)
+
+        monkeypatch.setattr(AnswerCache, "resolve", spy)
+        session = signature_session(pipeline)
+        for sql in SIGNATURE_SQL:
+            session.query(sql)
+        assert len(seen) == session.platform.stats.cache_misses > 0
+        for task in seen:
+            assert task.signature is not None
+            assert task.signature == signature_of(
+                task.task_type, task.question, task.options, task.payload, task.difficulty
+            )
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_each_question_is_hashed_once(self, pipeline, monkeypatch):
+        calls = []
+        original = repro.platform.cache.signature_of
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for module in (repro.platform.cache, repro.lang.executor, repro.lang.streaming):
+            monkeypatch.setattr(module, "signature_of", counted)
+        session = signature_session(pipeline)
+        session.query(SIGNATURE_SQL[0])
+        assert len(calls) == session.platform.stats.cache_misses > 0
 
 
 class TestCacheStore:

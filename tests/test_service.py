@@ -32,9 +32,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import render_prometheus
 from repro.platform.batch import BatchConfig
 from repro.platform.platform import SimulatedPlatform
-from repro.platform.task import Task, TaskType
+from repro.platform.task import Task, TaskState, TaskType
 from repro.recovery.breakers import BudgetBreaker
 from repro.service import CrowdService, TenantSpec, WorkUnit
+from repro.service.tenancy import TenantPlatform
 from repro.workers.pool import WorkerPool
 
 SCRIPT = """
@@ -391,3 +392,43 @@ class TestObservability:
         service.stop()
         worker.join(timeout=10)
         assert results and len(results[0].answers) == 2
+
+
+class TestStopForwarding:
+    """The streaming executor's stop signal survives the service hop."""
+
+    @staticmethod
+    def _run(submit):
+        platform = make_platform(seed=47)
+        service = CrowdService(platform).start()
+        try:
+            tenant = service.register("t")
+            tasks = choice_tasks(5, "stop")
+            calls = []
+
+            def stop():
+                calls.append(None)
+                return "early_termination"
+
+            result = submit(service, tenant, tasks, stop)
+        finally:
+            service.stop()
+        assert len(calls) == 1
+        assert result.answers == {}
+        assert platform.stats.tasks_published == 0
+        assert platform.stats.tasks_cancelled == 5
+        assert all(task.state is TaskState.CANCELLED for task in tasks)
+
+    def test_submit_forwards_stop(self):
+        self._run(
+            lambda service, tenant, tasks, stop: service.submit(
+                tenant, tasks, redundancy=2, stop=stop
+            )
+        )
+
+    def test_tenant_scheduler_forwards_stop(self):
+        self._run(
+            lambda service, tenant, tasks, stop: TenantPlatform(
+                service, tenant
+            ).scheduler.run(tasks, redundancy=2, stop=stop)
+        )

@@ -3,7 +3,7 @@
 The contract under test (DESIGN.md §12): with ``pipeline=on`` and no early
 termination, rows *and* stats are bit-identical to the barrier executor at
 the same seed; TOP-K/LIMIT cancels still-pending HITs through the
-scheduler's cancel seam without double-counting spend or poisoning the
+scheduler's stop signal without double-counting spend or poisoning the
 answer cache; unsupported plan shapes fall back to the barrier path.
 """
 
@@ -30,7 +30,7 @@ from repro.obs.prom import render_prometheus
 from repro.platform.batch import BatchConfig
 from repro.platform.cache import AnswerCache
 from repro.platform.platform import SimulatedPlatform
-from repro.platform.task import Task, TaskType
+from repro.platform.task import Task, TaskState, TaskType
 from repro.recovery import Checkpoint
 from repro.workers.pool import WorkerPool
 
@@ -298,6 +298,37 @@ class TestCancellationAccounting:
         assert profile["totals"]["cancel_refunded"] > 0
 
 
+class TestStopSignalGoldens:
+    """TOP-K cancellation accounting, pinned to the values (float summation
+    order included) of the per-task cancel hook the stop signal replaced."""
+
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_topk_cancellation_accounting_is_unchanged(self, lanes):
+        registry = MetricsRegistry(enabled=True)
+        platform = SimulatedPlatform(
+            WorkerPool.heterogeneous(12, accuracy_low=0.75, accuracy_high=0.97, seed=5),
+            seed=6,
+            batch=BatchConfig(batch_size=16, max_parallel=lanes, seed=7),
+            metrics=registry,
+        )
+        session = CrowdSQLSession(
+            database=make_database(),
+            platform=platform,
+            oracle=make_oracle(),
+            redundancy=3,
+            pipeline=True,
+        )
+        result = session.query(TOPK_SQL)
+        assert platform.stats.tasks_cancelled == 44
+        assert result.stats.tasks_cancelled == 44
+        assert platform.stats.cancel_cost_refunded == 1.320000000000001
+        assert result.stats.cost_avoided == 1.320000000000001
+        cancellations = registry.counter(
+            "batch.cancellations", labels={"reason": "early_termination"}
+        )
+        assert cancellations.value == 44
+
+
 class TestCheckpointResume:
     """A run killed between statements resumes bit-identically."""
 
@@ -415,7 +446,7 @@ class TestWiring:
 
 
 class TestSchedulerCancelSeam:
-    """Unit coverage for the cancel/on_batch hooks on BatchScheduler.run."""
+    """Unit coverage for the stop/on_batch hooks on BatchScheduler.run."""
 
     @staticmethod
     def _tasks(n: int) -> list:
@@ -435,12 +466,62 @@ class TestSchedulerCancelSeam:
     def test_cancel_before_first_batch_cancels_everything(self):
         platform = make_platform()
         result = platform.scheduler.run(
-            self._tasks(10), redundancy=2, cancel=lambda task: "early_termination"
+            self._tasks(10), redundancy=2, stop=lambda: "early_termination"
         )
         assert result.answers == {}
         assert platform.stats.tasks_published == 0
         assert platform.stats.tasks_cancelled == 10
         assert platform.stats.cancel_cost_refunded > 0
+
+    def test_stop_is_checked_once_per_batch_boundary(self):
+        platform = make_platform()
+        calls = []
+        platform.scheduler.run(
+            self._tasks(34), redundancy=2, stop=lambda: calls.append(None)
+        )
+        assert len(calls) == 3  # batches of 16, 16 and 2
+
+    def test_stop_cancels_canonical_and_coalesced_duplicates(self):
+        # Regression: the dropped canonical task stayed OPEN while its
+        # coalesced duplicates were COMPLETED with an empty answer list.
+        platform = SimulatedPlatform(
+            WorkerPool.uniform(12, 0.9, seed=5),
+            seed=6,
+            batch=BatchConfig(batch_size=2, max_parallel=1, seed=7),
+        )
+        platform.attach_cache(AnswerCache())
+        tasks = [
+            Task(
+                TaskType.SINGLE_CHOICE,
+                question=f"dup q{i % 3}",
+                options=("yes", "no"),
+                truth="yes",
+                task_id=f"dup-t{i}",
+            )
+            for i in range(6)
+        ]
+        batches = []
+        result = platform.scheduler.run(
+            tasks,
+            redundancy=2,
+            stop=lambda: "early_termination" if batches else None,
+            on_batch=lambda batch, run: batches.append([t.task_id for t in batch]),
+        )
+        assert batches == [["dup-t0", "dup-t1"]]
+        assert [t.state for t in tasks] == [
+            TaskState.COMPLETED,
+            TaskState.COMPLETED,
+            TaskState.CANCELLED,  # canonical dropped by the stop signal
+            TaskState.COMPLETED,
+            TaskState.COMPLETED,
+            TaskState.CANCELLED,  # its coalesced duplicate
+        ]
+        assert sorted(result.answers) == ["dup-t0", "dup-t1", "dup-t3", "dup-t4"]
+        assert platform.stats.tasks_cancelled == 1
+
+    def test_per_task_cancel_hook_is_rejected(self):
+        with pytest.raises(TypeError, match="stop="):
+            make_platform().scheduler.run(self._tasks(2), cancel=lambda task: None)
 
     def test_on_batch_fires_per_dispatched_batch(self):
         platform = make_platform()
@@ -459,7 +540,7 @@ class TestSchedulerCancelSeam:
         observed = hooked.scheduler.run(
             self._tasks(12),
             redundancy=3,
-            cancel=lambda task: None,
+            stop=lambda: None,
             on_batch=lambda batch, run: None,
         )
         # Worker ids are allocated globally across pools; compare the run
