@@ -343,9 +343,7 @@ def _serve_run_status(state: dict, iterations: int) -> dict:
         answers_collected=stats.answers_collected,
         hits_published=stats.tasks_published,
         batches_dispatched=stats.batches_dispatched,
-        simulated_clock=(
-            scheduler.simulated_clock if scheduler is not None else 0.0
-        ),
+        simulated_clock=scheduler.simulated_clock,
         cache={
             "enabled": session.platform.cache is not None,
             "hits": hits,
@@ -353,11 +351,7 @@ def _serve_run_status(state: dict, iterations: int) -> dict:
             "hit_ratio": (hits / requests) if requests else 0.0,
             "answers_reused": stats.cache_answers_reused,
         },
-        breakers=(
-            [{"name": b.name, "tripped": b.tripped} for b in scheduler.breakers]
-            if scheduler is not None
-            else []
-        ),
+        breakers=[{"name": b.name, "tripped": b.tripped} for b in scheduler.breakers],
     )
     return payload
 

@@ -46,6 +46,7 @@ from repro.operators.sort import (
 from repro.operators.topk import TopKResult, topk_tournament, tournament_max
 from repro.platform.platform import PlatformStats, SimulatedPlatform
 from repro.platform.pricing import PricingPolicy
+from repro.quality.truth import infer_evidence
 from repro.workers.pool import WorkerPool
 
 _SORT_STRATEGIES = ("all_pairs", "merge", "rating", "hybrid")
@@ -98,26 +99,25 @@ class CrowdEngine:
         plan = self.config.make_fault_plan()
         if plan is not None:
             self.platform.attach_faults(plan)
-        if self.platform.scheduler is not None:
-            from repro.recovery.breakers import (
-                AdaptiveDeadlineBreaker,
-                BudgetBreaker,
-                DeadlineBreaker,
-            )
+        from repro.recovery.breakers import (
+            AdaptiveDeadlineBreaker,
+            BudgetBreaker,
+            DeadlineBreaker,
+        )
 
-            if self.config.budget_reserve > 0:
-                self.platform.scheduler.breakers.append(
-                    BudgetBreaker(reserve=self.config.budget_reserve)
-                )
-            if self.config.deadline is not None:
-                breaker_cls = (
-                    AdaptiveDeadlineBreaker
-                    if self.config.adaptive_deadline
-                    else DeadlineBreaker
-                )
-                self.platform.scheduler.breakers.append(
-                    breaker_cls(deadline=self.config.deadline)
-                )
+        if self.config.budget_reserve > 0:
+            self.platform.scheduler.breakers.append(
+                BudgetBreaker(reserve=self.config.budget_reserve)
+            )
+        if self.config.deadline is not None:
+            breaker_cls = (
+                AdaptiveDeadlineBreaker
+                if self.config.adaptive_deadline
+                else DeadlineBreaker
+            )
+            self.platform.scheduler.breakers.append(
+                breaker_cls(deadline=self.config.deadline)
+            )
         # `is None` check: an empty Database is falsy (it defines __len__).
         self.database = Database() if database is None else database
         self.oracle = oracle or CrowdOracle()
@@ -440,10 +440,7 @@ class CrowdEngine:
 
         redundancy = redundancy or self.config.redundancy
         run = self.platform.scheduler.run(list(tasks), redundancy=redundancy)
-        inferred = None
-        evidence = {t: a for t, a in run.answers.items() if a}
-        if evidence:
-            inferred = self._inference().infer(evidence)
+        inferred = infer_evidence(self._inference(), run.answers)
         return DegradedResult.from_answers(
             tasks, run.answers, run.failures, redundancy, inference=inferred
         )
@@ -497,13 +494,7 @@ class CrowdEngine:
         hits = stats.cache_hits
         misses = stats.cache_misses
         requests = hits + misses
-        breakers = []
         scheduler = self.platform.scheduler
-        if scheduler is not None:
-            breakers = [
-                {"name": b.name, "tripped": b.tripped}
-                for b in scheduler.breakers
-            ]
         return {
             "current_statement": self._session.current_statement,
             "budget": {
@@ -517,9 +508,7 @@ class CrowdEngine:
             "open_batches": stats.assignments_dispatched
             - stats.assignments_timed_out
             - stats.assignments_abandoned,
-            "simulated_clock": (
-                scheduler.simulated_clock if scheduler is not None else 0.0
-            ),
+            "simulated_clock": scheduler.simulated_clock,
             "cache": {
                 "enabled": self.platform.cache is not None,
                 "hits": hits,
@@ -528,16 +517,16 @@ class CrowdEngine:
                 "answers_reused": stats.cache_answers_reused,
             },
             "hedges": {
-                "enabled": (
-                    scheduler is not None and scheduler.hedge_state is not None
-                ),
+                "enabled": scheduler.hedge_state is not None,
                 "launched": stats.hedges_launched,
                 "won": stats.hedges_won,
                 "lost": stats.hedges_lost,
                 "cancelled": stats.hedges_cancelled,
                 "refunded": stats.hedge_cost_refunded,
             },
-            "breakers": breakers,
+            "breakers": [
+                {"name": b.name, "tripped": b.tripped} for b in scheduler.breakers
+            ],
             "profiled_statements": (
                 len(self.profiler.statements) if self.profiler is not None else 0
             ),

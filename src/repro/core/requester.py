@@ -13,7 +13,7 @@ from typing import Any, Sequence
 from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Answer, Task
-from repro.quality.truth import InferenceResult, MajorityVote, TruthInference
+from repro.quality.truth import InferenceResult, MajorityVote, TruthInference, infer_evidence
 
 
 @dataclass
@@ -61,7 +61,10 @@ class Requester:
         """Run a batch job to completion and record its report.
 
         With *with_timeline*, answers are gathered on the event-simulated
-        timeline (slower but yields a makespan); otherwise instantaneously.
+        timeline (yields a makespan); otherwise through the platform's batch
+        scheduler, under its lanes, fault model and failure policy. Tasks
+        left without answers (skip/degrade policy, or a drained timeline)
+        are missing from the inferred truths.
         """
         if name in self.jobs:
             raise ConfigurationError(f"job {name!r} already exists")
@@ -78,7 +81,7 @@ class Requester:
                 answers[answer.task_id].append(answer)
         else:
             answers = self.platform.collect(tasks, redundancy=redundancy)
-        result = method.infer(answers)
+        result = infer_evidence(method, answers)
         report = JobReport(
             name=name,
             tasks=len(tasks),

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.hybrid.naive_bayes import NaiveBayesText
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 
 @dataclass
@@ -103,7 +103,8 @@ class ActiveLearner:
             tasks.append(task)
             index_of_task[task.task_id] = i
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
+        # Items with no answers (skip/degrade policy) come back unlabeled.
+        inferred = infer_evidence(self.inference, collected)
         return {index_of_task[t]: label for t, label in inferred.truths.items()}
 
     def _pick_batch(
@@ -146,16 +147,21 @@ class ActiveLearner:
             new_labels = self._crowd_label(items, batch)
             questions += len(batch) * self.redundancy
             crowd_labels.update(new_labels)
-            unlabeled = [i for i in unlabeled if i not in crowd_labels]
+            # Asked items leave the pool even when unanswered, so a failing
+            # crowd cannot loop forever; the model labels them at the end.
+            asked = set(batch)
+            unlabeled = [i for i in unlabeled if i not in asked]
             for i, label in new_labels.items():
                 model.partial_fit(items[i], label)
-            if heldout is not None:
+            if heldout is not None and model.n_documents:
                 trajectory.append(
                     (len(crowd_labels), model.accuracy(heldout[0], heldout[1]))
                 )
 
+        # None marks an item neither the crowd nor an untrained model labeled.
         final = [
-            crowd_labels[i] if i in crowd_labels else model.predict(items[i])
+            crowd_labels[i] if i in crowd_labels
+            else (model.predict(items[i]) if model.n_documents else None)
             for i in range(len(items))
         ]
         return ActiveLearningResult(

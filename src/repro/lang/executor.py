@@ -609,24 +609,32 @@ class Executor:
             )
         return joined_schema, out
 
-    def _machine_join(
+    def _build_probe(
         self,
         left_schema: Schema,
         right_schema: Schema,
-        left_rows: list[dict[str, Any]],
         right_rows: list[dict[str, Any]],
         condition: Expression,
-    ) -> list[dict[str, Any]]:
-        """Machine join over materialized rows: hash on equi keys if any."""
+    ):
+        """Probe closure for one left row; hash side is built eagerly.
+
+        Hashes the right rows on the equi keys of *condition* (residual
+        conjuncts checked per match), or falls back to a nested loop when
+        there are none. A left row's matches come in right insertion order,
+        so the pipelined join streams the barrier join's rows.
+        """
         split = self._equi_split(condition, left_schema, right_schema)
         if split is None:
-            out = []
-            for lrow in left_rows:
+
+            def nested(lrow: dict[str, Any]) -> list[dict[str, Any]]:
+                out = []
                 for rrow in right_rows:
                     merged = {**lrow, **rrow}
                     if condition.evaluate(merged) is True:
                         out.append(merged)
-            return out
+                return out
+
+            return nested
         keys, residual = split
         lcols = [a for a, _ in keys]
         rcols = [b for _, b in keys]
@@ -636,16 +644,31 @@ class Executor:
             if key is not None:
                 index.setdefault(key, []).append(i)
         res_expr = conjoin(residual) if residual else None
-        out = []
-        for lrow in left_rows:
+
+        def probe(lrow: dict[str, Any]) -> list[dict[str, Any]]:
             key = self._join_key([lrow[c] for c in lcols])
             if key is None:
-                continue
+                return []
+            out = []
             for i in index.get(key, ()):
                 merged = {**lrow, **right_rows[i]}
                 if res_expr is None or res_expr.evaluate(merged) is True:
                     out.append(merged)
-        return out
+            return out
+
+        return probe
+
+    def _machine_join(
+        self,
+        left_schema: Schema,
+        right_schema: Schema,
+        left_rows: list[dict[str, Any]],
+        right_rows: list[dict[str, Any]],
+        condition: Expression,
+    ) -> list[dict[str, Any]]:
+        """Machine join over materialized rows: hash on equi keys if any."""
+        probe = self._build_probe(left_schema, right_schema, right_rows, condition)
+        return [merged for lrow in left_rows for merged in probe(lrow)]
 
     def _columnar_join(
         self, node: JoinNode, filters: Sequence[Expression] = ()

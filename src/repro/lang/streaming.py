@@ -44,7 +44,6 @@ from typing import Any
 from repro.data.expressions import (
     CrowdPredicate,
     Expression,
-    conjoin,
     contains_crowd_predicate,
     is_crowd_unknown,
 )
@@ -111,8 +110,6 @@ class StreamingExecutor(Executor):
 
     def execute(self, plan: LogicalPlan) -> QueryResult:
         """Run *plan*, streaming when compilable, barrier otherwise."""
-        if self.platform.scheduler is None:
-            return super().execute(plan)
         try:
             pipe = self._compile(plan.root)
         except _Unsupported:
@@ -206,53 +203,6 @@ class StreamingExecutor(Executor):
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-
-    def _build_probe(
-        self,
-        left_schema: Schema,
-        right_schema: Schema,
-        right_rows: list[dict[str, Any]],
-        condition: Expression,
-    ):
-        """Probe closure for one left row; hash side is built eagerly.
-
-        Match emission order per left row equals the barrier join's (right
-        insertion order), so streamed output is row-identical.
-        """
-        split = self._equi_split(condition, left_schema, right_schema)
-        if split is None:
-
-            def nested(lrow: dict[str, Any]) -> list[dict[str, Any]]:
-                out = []
-                for rrow in right_rows:
-                    merged = {**lrow, **rrow}
-                    if condition.evaluate(merged) is True:
-                        out.append(merged)
-                return out
-
-            return nested
-        keys, residual = split
-        lcols = [a for a, _ in keys]
-        rcols = [b for _, b in keys]
-        index: dict[tuple[Any, ...], list[int]] = {}
-        for i, rrow in enumerate(right_rows):
-            key = self._join_key([rrow[c] for c in rcols])
-            if key is not None:
-                index.setdefault(key, []).append(i)
-        res_expr = conjoin(residual) if residual else None
-
-        def probe(lrow: dict[str, Any]) -> list[dict[str, Any]]:
-            key = self._join_key([lrow[c] for c in lcols])
-            if key is None:
-                return []
-            out = []
-            for i in index.get(key, ()):
-                merged = {**lrow, **right_rows[i]}
-                if res_expr is None or res_expr.evaluate(merged) is True:
-                    out.append(merged)
-            return out
-
-        return probe
 
     def _run_pipeline(
         self, pipe: _Pipeline, stats: ExecutionStats

@@ -62,8 +62,8 @@ class RoundScheduler:
             (:class:`~repro.platform.batch.BatchScheduler`) instead of the
             arrival-event timeline; the round's duration is then the batch
             makespan under ``max_parallel`` concurrent assignment lanes.
-            None (default) auto-enables this when the platform has a
-            parallel scheduler attached.
+            None (default) auto-enables this when the platform's scheduler
+            runs more than one lane (``max_parallel > 1``).
     """
 
     def __init__(
@@ -74,8 +74,6 @@ class RoundScheduler:
     ):
         if redundancy < 1:
             raise ConfigurationError("redundancy must be >= 1")
-        if use_batches and platform.scheduler is None:
-            raise ConfigurationError("use_batches requires a platform batch scheduler")
         self.platform = platform
         self.redundancy = redundancy
         self.use_batches = use_batches

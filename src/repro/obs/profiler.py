@@ -122,7 +122,7 @@ class QueryProfiler:
         self.statements: list[dict[str, Any]] = []
 
     def _sim_clock(self) -> float:
-        if self.platform is not None and self.platform.scheduler is not None:
+        if self.platform is not None:
             return self.platform.scheduler.simulated_clock
         return 0.0
 

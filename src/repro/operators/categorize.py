@@ -15,7 +15,7 @@ from repro.errors import ConfigurationError
 from repro.obs.instrument import operator_span
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 
 @dataclass
@@ -100,12 +100,14 @@ class CrowdCategorize:
                     )
                 )
             collected = self.platform.collect(tasks, redundancy=self.redundancy)
-            inferred = self.inference.infer(collected)
+            inferred = infer_evidence(self.inference, collected)
 
             labels: dict[int, Any] = {}
             confidences: dict[int, float] = {}
             groups: dict[Any, list[int]] = defaultdict(list)
             for i, task in enumerate(tasks):
+                if task.task_id not in inferred.truths:
+                    continue  # no answers (skip/degrade policy): left uncategorized
                 label = inferred.truths[task.task_id]
                 labels[i] = label
                 confidences[i] = inferred.confidences.get(task.task_id, 0.0)

@@ -19,7 +19,7 @@ from repro.errors import ConfigurationError
 from repro.operators.filter import NO, YES
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 
 @dataclass
@@ -94,8 +94,9 @@ class CrowdCount:
                 )
             )
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
-        labels = [inferred.truths[t.task_id] == YES for t in tasks]
+        # A task left without answers (skip/degrade policy) counts as "no".
+        inferred = infer_evidence(self.inference, collected)
+        labels = [inferred.truths.get(t.task_id) == YES for t in tasks]
         estimate = estimate_count(labels, len(items), confidence)
         return CountResult(
             estimate=estimate,

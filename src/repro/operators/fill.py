@@ -15,7 +15,7 @@ from repro.data.table import Table
 from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 
 @dataclass
@@ -97,7 +97,7 @@ class CrowdFill:
             task_list.append(task)
 
         collected = self.platform.collect(task_list, redundancy=self.redundancy)
-        inferred = self.inference.infer(collected)
+        inferred = infer_evidence(self.inference, collected)
 
         result = FillResult(
             filled_cells=0,
@@ -105,6 +105,8 @@ class CrowdFill:
             cost=0.0,
         )
         for task in task_list:
+            if task.task_id not in inferred.truths:
+                continue  # no answers (skip/degrade policy): the cell stays unfilled
             rowid, column = tasks[task.task_id]
             value = inferred.truths[task.task_id]
             table.update_cell(rowid, column, value)

@@ -28,7 +28,7 @@ from typing import Sequence
 from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 NO_ERROR = "none"
 
@@ -122,7 +122,9 @@ class FindFixVerify:
         )
         answers = self.platform.collect([task], redundancy=self.find_redundancy)
         result.find_questions += self.find_redundancy
-        counts = Counter(a.value for a in answers[task.task_id])
+        counts = Counter(a.value for a in answers.get(task.task_id, ()))
+        if not counts:
+            return None  # no answers (skip/degrade policy): nothing agreed on
         winner, votes = counts.most_common(1)[0]
         # Independent agreement: a strict majority must point at the same span.
         if votes * 2 <= self.find_redundancy or winner == NO_ERROR:
@@ -142,7 +144,7 @@ class FindFixVerify:
         answers = self.platform.collect([task], redundancy=self.fix_candidates)
         result.fix_questions += self.fix_candidates
         candidates = []
-        for answer in answers[task.task_id]:
+        for answer in answers.get(task.task_id, ()):
             if answer.value and answer.value not in candidates:
                 candidates.append(answer.value)
         return candidates
@@ -170,8 +172,9 @@ class FindFixVerify:
         )
         answers = self.platform.collect([task], redundancy=self.verify_redundancy)
         result.verify_questions += self.verify_redundancy
-        inferred = self.inference.infer(answers)
-        return inferred.truths[task.task_id]
+        # With no answers (skip/degrade policy) the original word stays.
+        inferred = infer_evidence(self.inference, answers)
+        return inferred.truths.get(task.task_id, words[position])
 
     # ------------------------------------------------------------------ #
 

@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 Node = Hashable
 Graph = Mapping[Node, Sequence[Node]]
@@ -119,8 +119,12 @@ class CrowdPlanner:
 
     # ------------------------------------------------------------------ #
 
-    def _vote(self, question: str, candidates: list[tuple[str, float]]) -> str:
-        """One expansion vote; candidates are (option key, hidden score)."""
+    def _vote(self, question: str, candidates: list[tuple[str, float]]) -> str | None:
+        """One expansion vote; candidates are (option key, hidden score).
+
+        None when the vote got no answers (skip/degrade failure policy):
+        the crowd confirmed no step, and the search stops where it is.
+        """
         options = tuple(key for key, _score in candidates)
         truth = max(candidates, key=lambda pair: pair[1])[0]
         task = Task(
@@ -130,7 +134,7 @@ class CrowdPlanner:
             truth=truth,
         )
         answers = self.platform.collect([task], redundancy=self.redundancy)
-        return self.inference.infer(answers).truths[task.task_id]
+        return infer_evidence(self.inference, answers).truths.get(task.task_id)
 
     def greedy(self, start: Node, steps: int) -> PlanResult:
         """Myopic crowd walk: vote among the current node's successors."""
@@ -155,6 +159,8 @@ class CrowdPlanner:
                 f"Best next stop after {self.describe(path[-1])}?", candidates
             )
             questions += 1
+            if winner is None:
+                break
             chosen = successors[
                 [self.describe(s) for s in successors].index(winner)
             ]
@@ -201,6 +207,8 @@ class CrowdPlanner:
                 ]
                 winner = self._vote("Which partial plan looks best?", candidates)
                 questions += 1
+                if winner is None:
+                    break
                 keys = [key for key, _ in candidates]
                 champion = extensions[keys.index(winner)]
             else:

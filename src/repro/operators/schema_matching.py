@@ -23,7 +23,7 @@ from repro.cost.similarity import jaccard_ngrams
 from repro.errors import ConfigurationError
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import Task, TaskType
-from repro.quality.truth import MajorityVote, TruthInference
+from repro.quality.truth import MajorityVote, TruthInference, infer_evidence
 
 YES = "yes"
 NO = "no"
@@ -132,7 +132,8 @@ class CrowdSchemaMatcher:
             )
             collected = self.platform.collect([task], redundancy=self.redundancy)
             questions += 1
-            if self.inference.infer(collected).truths[task.task_id] == YES:
+            verdict = infer_evidence(self.inference, collected).truths.get(task.task_id)
+            if verdict == YES:  # a pair with no answers stays unconfirmed
                 confirmed.append((source, target, score))
 
         # Greedy 1:1 extraction, best machine similarity first.

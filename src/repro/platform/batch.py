@@ -21,11 +21,17 @@ a retry limit is hit (the Reprowd / human-powered-sorts-and-joins regime).
   would-be spend booked as avoided (the streaming executor's TOP-K/LIMIT
   early termination).
 
+Every :class:`~repro.platform.platform.SimulatedPlatform` owns one scheduler,
+and :meth:`BatchScheduler.run` is its only ask-and-close purchase path:
+``collect``/``collect_batch`` are this run, so the fault model, failure
+policy, breakers, hedging and lanes apply to every such purchase.
+
 Determinism: planning (worker sampling) happens in task order, so the
 pool's RNG stream is consumed identically at any ``max_parallel``. With
 ``max_parallel=1`` attempts also draw from the platform RNG in the legacy
-order, making the sequential path bit-identical to
-:meth:`SimulatedPlatform.collect`. With ``max_parallel>1`` every assignment
+order, making the sequential path bit-identical to the ``ask`` loop
+(sample each task's workers, then :meth:`SimulatedPlatform.ask` each in
+turn). With ``max_parallel>1`` every assignment
 gets its own RNG derived from ``(seed, assignment index)``: a different
 (equally valid) random stream than the sequential one.
 
@@ -381,8 +387,8 @@ class BatchScheduler:
     ) -> BatchRunResult:
         """Gather *redundancy* answers per task, batch by batch.
 
-        Returns a :class:`BatchRunResult` whose ``answers`` mapping has the
-        same shape as :meth:`SimulatedPlatform.collect`. Tasks are completed
+        Returns a :class:`BatchRunResult` whose ``answers`` mapping is what
+        :meth:`SimulatedPlatform.collect_batch` returns. Tasks are completed
         afterwards unless *complete* is False (round-structured callers keep
         them open for further answers).
 
@@ -898,7 +904,7 @@ class BatchScheduler:
                 self._attempt_isolated(a)
             return
         # Sequential: draw from the platform RNG in dispatch order — with
-        # faults off this is the legacy collect() stream exactly.
+        # faults off this is the ask() loop's stream exactly.
         for a in wave:
             self._attempt(a, self.platform.rng)
 
@@ -946,7 +952,7 @@ class BatchScheduler:
             task_id=task.task_id,
             worker_id=worker.worker_id,
             value=a.value,
-            submitted_at=a.duration,  # matches the sequential collect() stamp
+            submitted_at=a.duration,  # matches the sequential ask() stamp
             duration=a.duration,
             reward_paid=task.reward,
         )
@@ -967,12 +973,8 @@ class BatchScheduler:
                     )
         worker.history.append(answer)
         worker.earned += task.reward
-        for delivered in deliveries:
-            platform.answers.append(delivered)
-            platform._answers_by_task[task.task_id].append(delivered)
-            platform.stats.answers_collected += 1
-            platform.stats.answers_by_worker[worker.worker_id] += 1
-            result.answers.setdefault(task.task_id, []).append(delivered)
+        platform.book_answers(worker.worker_id, task.task_id, deliveries)
+        result.answers.setdefault(task.task_id, []).extend(deliveries)
         landed = (self._clock - self._run_base) + finished
         previous = result.completion_times.get(task.task_id, 0.0)
         result.completion_times[task.task_id] = max(previous, landed)

@@ -8,13 +8,22 @@ crowd answer in the library flows. It owns:
 * the answer log used by truth inference and worker quality control,
 * an optional discrete-event timeline for latency experiments.
 
-Two usage modes mirror how real requesters interact with platforms:
+Every platform owns a :class:`~repro.platform.batch.BatchScheduler`, and
+ask-and-close purchases have one path through it:
 
-* **batch** — :meth:`collect`: publish tasks with redundancy *k*; the
-  platform gathers *k* answers per task from distinct workers.
+* **batch** — :meth:`collect_batch` (alias :meth:`collect`): publish tasks
+  with redundancy *k*; the scheduler gathers *k* answers per task from
+  distinct workers under the configured lanes, fault model and failure
+  policy.
 * **online** — :meth:`worker_stream` + :meth:`ask`: workers "arrive" one at
   a time and an assignment strategy decides which task each gets (the
   QASCA/CDAS regime in :mod:`repro.quality.assignment`).
+
+HIT batches (:meth:`collect_batched`) keep their own loop, because one
+worker answering a whole HIT in sequence is not per-task sampling; the
+event timeline (:meth:`simulate_timeline`) buys through :meth:`ask` as
+workers arrive on its clock. All of them book answers through
+:meth:`book_answers`.
 """
 
 from __future__ import annotations
@@ -199,6 +208,9 @@ class SimulatedPlatform:
             and the event timeline; the no-op tracer when omitted.
         metrics: Registry backing :class:`PlatformStats` and the extra
             telemetry histograms; a disabled registry when omitted.
+        batch: Knobs of the platform's batch runtime
+            (:class:`~repro.platform.batch.BatchScheduler`); ``BatchConfig()``
+            (one lane, no faults) when omitted.
         event_log_limit: Cap on the discrete-event simulator's in-memory
             log (None = unbounded, the historical behaviour).
     """
@@ -225,7 +237,6 @@ class SimulatedPlatform:
         self.answers: list[Answer] = []
         self._answers_by_task: dict[str, list[Answer]] = defaultdict(list)
         self._tasks: dict[str, Task] = {}
-        self.scheduler: "BatchScheduler | None" = None
         self.faults: "FaultInjector | None" = None
         self.cache: "AnswerCache | None" = None
         # Multi-tenant service seam: when a tenant account is active, every
@@ -234,11 +245,10 @@ class SimulatedPlatform:
         # unable to jointly overspend a shared platform).
         self._charge_lock = threading.Lock()
         self._active_account: "object | None" = None
-        if batch is not None:
-            self.attach_scheduler(batch)
+        self.scheduler: BatchScheduler = self.attach_scheduler(batch)
 
-    def attach_scheduler(self, config: "BatchConfig") -> "BatchScheduler":
-        """Install (or replace) the batch execution runtime on this platform."""
+    def attach_scheduler(self, config: "BatchConfig | None" = None) -> "BatchScheduler":
+        """Install a fresh batch execution runtime (``BatchConfig()`` when None)."""
         from repro.platform.batch import BatchScheduler
 
         self.scheduler = BatchScheduler(self, config)
@@ -247,8 +257,8 @@ class SimulatedPlatform:
     def attach_faults(self, plan: "FaultPlan | None") -> "FaultInjector | None":
         """Install (or clear, with None) a fault-injection plan.
 
-        Faults only act on the batch runtime seams, so a plan without an
-        attached scheduler is inert by construction.
+        Faults act on the batch runtime seams, so they reach every
+        ask-and-close purchase and never :meth:`ask` or HIT batches.
         """
         from repro.faults.injector import FaultInjector
 
@@ -260,8 +270,9 @@ class SimulatedPlatform:
 
         The cache's counters are rebound onto this platform's registry so
         the ``cache_*`` views on :class:`PlatformStats` and the cache object
-        always agree. Only ask-and-close collection paths (``collect`` and
-        ``scheduler.run`` with ``complete=True``) consult the cache;
+        always agree. Only ask-and-close purchases (``scheduler.run`` with
+        ``complete=True``, which ``collect``/``collect_batch`` are) consult
+        the cache;
         round-structured callers keeping tasks open for more evidence, HIT
         batches, and online :meth:`ask` assignment never do.
         """
@@ -272,8 +283,8 @@ class SimulatedPlatform:
 
     @property
     def parallel_batching(self) -> bool:
-        """True when an attached scheduler runs assignments concurrently."""
-        return self.scheduler is not None and self.scheduler.parallel
+        """True when the scheduler runs assignments on several lanes."""
+        return self.scheduler.parallel
 
     # ------------------------------------------------------------------ #
     # Publishing & bookkeeping
@@ -341,7 +352,7 @@ class SimulatedPlatform:
                 self.stats.cost_spent += amount
 
     # ------------------------------------------------------------------ #
-    # Answer cache seam (shared by collect() and the batch scheduler)
+    # Answer cache seam (consulted by the batch scheduler's run)
     # ------------------------------------------------------------------ #
 
     def cache_resolve(
@@ -398,6 +409,21 @@ class SimulatedPlatform:
     # Answer collection
     # ------------------------------------------------------------------ #
 
+    def book_answers(self, worker_id: str, task_id: str, answers: Sequence[Answer]) -> None:
+        """Log answers *worker_id* delivered for *task_id*.
+
+        The one booking step behind every purchase (:meth:`ask`,
+        :meth:`collect_batched` and the batch scheduler's commit): the
+        answer log, the per-task index, ``answers_collected`` and
+        ``answers_by_worker``. Charging and the worker's own history stay
+        with the caller, which knows what was paid and what was answered.
+        """
+        count = len(answers)
+        self.answers.extend(answers)
+        self._answers_by_task[task_id].extend(answers)
+        self.stats.answers_collected += count
+        self.stats.answers_by_worker[worker_id] += count
+
     def ask(self, task: Task, worker: Worker | None = None, now: float = 0.0) -> Answer:
         """Obtain one answer for *task*, charging its reward.
 
@@ -413,38 +439,8 @@ class SimulatedPlatform:
             worker = self.pool.sample(1, exclude=done)[0]
         self._charge(task.reward)
         answer = worker.submit(task, self.rng, now=now)
-        self.answers.append(answer)
-        self._answers_by_task[task.task_id].append(answer)
-        self.stats.answers_collected += 1
-        self.stats.answers_by_worker[worker.worker_id] += 1
+        self.book_answers(worker.worker_id, task.task_id, (answer,))
         return answer
-
-    def collect(
-        self,
-        tasks: Sequence[Task],
-        redundancy: int = 3,
-    ) -> dict[str, list[Answer]]:
-        """Batch mode: gather *redundancy* answers per task from distinct workers.
-
-        Returns {task_id: [answers]}. Tasks are completed afterwards.
-        """
-        if redundancy < 1:
-            raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
-        if redundancy > len(self.pool.active_workers):
-            raise NoWorkersAvailableError(
-                f"redundancy {redundancy} exceeds pool of {len(self.pool.active_workers)}"
-            )
-        resolution = self.cache_resolve(tasks, redundancy)
-        run_tasks = tasks if resolution is None else resolution.misses
-        self.publish([t for t in run_tasks if t.task_id not in self._tasks])
-        result: dict[str, list[Answer]] = {}
-        for task in run_tasks:
-            workers = self.pool.sample(redundancy)
-            result[task.task_id] = [self.ask(task, worker) for worker in workers]
-            task.complete()
-        if resolution is not None:
-            self.cache_finish(resolution, result, complete=True)
-        return result
 
     def collect_batch(
         self,
@@ -452,17 +448,21 @@ class SimulatedPlatform:
         redundancy: int = 3,
         complete: bool = True,
     ) -> dict[str, list[Answer]]:
-        """Like :meth:`collect`, routed through the batch runtime when attached.
+        """Gather *redundancy* answers per task from distinct workers.
 
-        Without a scheduler this is exactly :meth:`collect`; with one, tasks
-        are dispatched in batches with the configured parallelism and fault
-        model (bit-identical to :meth:`collect` at ``max_parallel=1`` with
-        fault injection off). Operators call this so a single engine knob
-        flips the whole stack between sequential and concurrent execution.
+        Returns {task_id: [answers]}; tasks are completed afterwards unless
+        *complete* is False. This is the scheduler's run: tasks are
+        dispatched in batches under the configured lanes, fault model and
+        failure policy, so under ``skip``/``degrade`` a task may come back
+        with no answers (or, under ``skip``, no key). At ``max_parallel=1``
+        with faults off the draws are those of sampling each task's workers
+        and calling :meth:`ask` for each in turn.
         """
-        if self.scheduler is None:
-            return self.collect(tasks, redundancy=redundancy)
+        if redundancy < 1:
+            raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
         return self.scheduler.run(tasks, redundancy=redundancy, complete=complete).answers
+
+    collect = collect_batch
 
     def collect_batched(
         self,
@@ -526,10 +526,7 @@ class SimulatedPlatform:
                         worker.earned += task.reward
                     else:
                         answer = worker.submit(task, self.rng)
-                    self.answers.append(answer)
-                    self._answers_by_task[task.task_id].append(answer)
-                    self.stats.answers_collected += 1
-                    self.stats.answers_by_worker[worker.worker_id] += 1
+                    self.book_answers(worker.worker_id, task.task_id, (answer,))
                     result[task.task_id].append(answer)
             for task in hit.tasks:
                 if task.is_open:

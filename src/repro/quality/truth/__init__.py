@@ -7,6 +7,7 @@ from repro.quality.truth.base import (
     TruthInference,
     answers_from_platform,
     encode_observations,
+    infer_evidence,
     label_space,
     votes_by_task,
     worker_answer_index,
@@ -58,6 +59,7 @@ __all__ = [
     "ZenCrowd",
     "answers_from_platform",
     "encode_observations",
+    "infer_evidence",
     "label_space",
     "set_f1",
     "votes_by_task",

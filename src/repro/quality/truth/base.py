@@ -163,6 +163,19 @@ def answers_from_platform(
     return {t.task_id: list(collected.get(t.task_id, [])) for t in tasks}
 
 
+def infer_evidence(
+    method: TruthInference, answers_by_task: Mapping[str, Sequence[Answer]]
+) -> InferenceResult:
+    """Run *method* over the tasks that have answers.
+
+    Under the ``skip``/``degrade`` failure policies a purchase can leave a
+    task with no answers; such a task is left out, so it is missing from
+    ``truths`` (no evidence) instead of failing the whole inference.
+    """
+    evidence = {t: a for t, a in answers_by_task.items() if a}
+    return method.infer(evidence) if evidence else InferenceResult(truths={})
+
+
 def label_space(answers_by_task: Mapping[str, Sequence[Answer]]) -> list[Any]:
     """Sorted union of every answered label (stable, hashable order)."""
     labels = {a.value for answers in answers_by_task.values() for a in answers}

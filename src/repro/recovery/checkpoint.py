@@ -406,8 +406,7 @@ class Checkpoint:
         if platform.cache is not None:
             state["cache"] = platform.cache.export_entries()
         scheduler = scheduler if scheduler is not None else platform.scheduler
-        if scheduler is not None:
-            state["scheduler"] = snapshot_scheduler(scheduler)
+        state["scheduler"] = snapshot_scheduler(scheduler)
         if inference is not None:
             em_state = inference.export_state()
             if em_state:
@@ -470,7 +469,7 @@ class Checkpoint:
         if platform.cache is not None and "cache" in self.state:
             platform.cache.import_entries(self.state["cache"])
         scheduler = scheduler if scheduler is not None else platform.scheduler
-        if scheduler is not None and "scheduler" in self.state:
+        if "scheduler" in self.state:  # older builds omitted it for schedulerless platforms
             restore_scheduler(scheduler, self.state["scheduler"])
         if inference is not None and "inference" in self.state:
             inference.warm_start(self.state["inference"])

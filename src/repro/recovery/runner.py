@@ -80,8 +80,6 @@ class CheckpointingRunner:
         interval: int = 1,
         inference: "TruthInference | None" = None,
     ):
-        if platform.scheduler is None:
-            raise CheckpointError("CheckpointingRunner requires an attached scheduler")
         if interval < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1, got {interval}")
         self.platform = platform

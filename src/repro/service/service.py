@@ -276,12 +276,11 @@ class CrowdService:
         *,
         stop: "Callable[[], str | None] | None" = None,
         on_batch: "Callable[[list[Task], BatchRunResult], None] | None" = None,
-    ) -> Any:
+    ) -> "BatchRunResult":
         """Queue one crowd request and block until the dispatcher ran it.
 
         Returns the underlying
-        :class:`~repro.platform.batch.BatchRunResult` (or the plain
-        answers dict on a schedulerless platform). Raises whatever the
+        :class:`~repro.platform.batch.BatchRunResult`. Raises whatever the
         run raised — budget exhaustion, admission rejection — in the
         *calling* thread, mirroring the plain engine path.
         """
@@ -402,18 +401,13 @@ class CrowdService:
         self.metrics.observe("service.queue_wait", float(waited), labels=labels)
         try:
             with self.platform.charging_account(tenant.account):
-                if self.platform.scheduler is not None:
-                    result = self.platform.scheduler.run(
-                        unit.tasks,
-                        redundancy=unit.redundancy,
-                        complete=unit.complete,
-                        stop=unit.stop,
-                        on_batch=unit.on_batch,
-                    )
-                else:
-                    result = self.platform.collect(
-                        unit.tasks, redundancy=unit.redundancy
-                    )
+                result = self.platform.scheduler.run(
+                    unit.tasks,
+                    redundancy=unit.redundancy,
+                    complete=unit.complete,
+                    stop=unit.stop,
+                    on_batch=unit.on_batch,
+                )
         except BaseException as exc:  # surface in the submitting thread
             unit.fail(exc)
             return

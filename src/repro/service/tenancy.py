@@ -179,9 +179,7 @@ class TenantPlatform:
         return self._stats
 
     @property
-    def scheduler(self) -> "TenantScheduler | None":
-        if self._service.platform.scheduler is None:
-            return None
+    def scheduler(self) -> TenantScheduler:
         return self._scheduler
 
     @property
@@ -200,20 +198,11 @@ class TenantPlatform:
         complete: bool = True,
     ) -> "dict[str, list[Answer]]":
         """Collect answers for *tasks* via the service dispatcher."""
-        result = self._service.submit(
+        return self._service.submit(
             self._tenant, tasks, redundancy=redundancy, complete=complete
-        )
-        if isinstance(result, dict):  # schedulerless platform: plain collect()
-            return result
-        return result.answers
+        ).answers
 
-    def collect(
-        self,
-        tasks: "Sequence[Task]",
-        redundancy: int = 3,
-    ) -> "dict[str, list[Answer]]":
-        """Sequential-API alias for :meth:`collect_batch` (complete runs)."""
-        return self.collect_batch(tasks, redundancy=redundancy, complete=True)
+    collect = collect_batch
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._service.platform, name)

@@ -1,6 +1,8 @@
 """Unit tests for the batched concurrent task runtime (repro.platform.batch)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CrowdEngine, EngineConfig
 from repro.errors import (
@@ -10,6 +12,7 @@ from repro.errors import (
 )
 from repro.latency.rounds import RoundScheduler
 from repro.platform.batch import BatchConfig, BatchScheduler
+from repro.platform.cache import AnswerCache
 from repro.platform.platform import SimulatedPlatform
 from repro.platform.task import single_choice
 from repro.workers.pool import WorkerPool
@@ -43,6 +46,22 @@ def stream(platform, tasks, answers):
     ]
 
 
+def ask_loop(platform, tasks, redundancy):
+    """Independent sequential reference for ``collect``: resolve against the
+    cache, publish, then per task sample its workers and ``ask`` each."""
+    resolution = platform.cache_resolve(tasks, redundancy)
+    run_tasks = tasks if resolution is None else resolution.misses
+    platform.publish([t for t in run_tasks if t.task_id not in platform._tasks])
+    result = {}
+    for task in run_tasks:
+        workers = platform.pool.sample(redundancy)
+        result[task.task_id] = [platform.ask(task, worker) for worker in workers]
+        task.complete()
+    if resolution is not None:
+        platform.cache_finish(resolution, result, complete=True)
+    return result
+
+
 class TestBatchConfig:
     def test_defaults_are_sequential_and_fault_free(self):
         cfg = BatchConfig()
@@ -74,12 +93,61 @@ class TestSequentialEquivalence:
     def test_max_parallel_1_matches_legacy_collect(self):
         ref = make_platform()
         ref_tasks = make_tasks(30)
-        ref_stream = stream(ref, ref_tasks, ref.collect(ref_tasks, redundancy=3))
+        ref_stream = stream(ref, ref_tasks, ask_loop(ref, ref_tasks, redundancy=3))
 
         batched = make_platform(batch=BatchConfig(batch_size=8, max_parallel=1, seed=99))
         tasks = make_tasks(30)
         run = batched.scheduler.run(tasks, redundancy=3)
         assert stream(batched, tasks, run.answers) == ref_stream
+
+    @given(
+        n_tasks=st.integers(1, 30),
+        redundancy=st.integers(1, 5),
+        batch_size=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+        warm=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_collect_equals_ask_loop(self, n_tasks, redundancy, batch_size, seed, warm):
+        """``collect`` is the scheduler; at one lane it buys what the ask
+        loop buys, answer for answer, including cache hits and coalescing."""
+
+        def purchase(buy):
+            platform = make_platform(seed=seed, batch=BatchConfig(batch_size=batch_size))
+            platform.attach_cache(AnswerCache())
+            widx = {w.worker_id: i for i, w in enumerate(platform.pool)}
+            # Few distinct questions: duplicates coalesce within a call, and
+            # a warm-up call leaves entries the second call hits.
+            calls = [n_tasks // 2 + 1, n_tasks] if warm else [n_tasks]
+            bought = []
+            for n in calls:
+                tasks = [
+                    single_choice(f"item {i % 7}?", ("yes", "no"), truth="yes" if i % 2 else "no")
+                    for i in range(n)
+                ]
+                answers = buy(platform, tasks)
+                bought.append(
+                    [
+                        [(widx[a.worker_id], a.value, a.duration) for a in answers[t.task_id]]
+                        for t in tasks
+                    ]
+                )
+                bought.append([t.state for t in tasks])
+            stats = platform.stats
+            return bought, (
+                stats.cost_spent,
+                stats.tasks_published,
+                stats.answers_collected,
+                stats.cache_hits,
+                stats.cache_misses,
+                stats.cache_coalesced,
+                stats.cache_answers_reused,
+                stats.cache_cost_saved,
+            )
+
+        collected = purchase(lambda p, ts: p.collect(ts, redundancy=redundancy))
+        reference = purchase(lambda p, ts: ask_loop(p, ts, redundancy))
+        assert collected == reference
 
     def test_engine_default_config_unchanged_by_batching(self):
         results = []
@@ -230,11 +298,6 @@ class TestEngineIntegration:
 
 
 class TestRoundSchedulerBatched:
-    def test_use_batches_requires_scheduler(self):
-        platform = make_platform()
-        with pytest.raises(ConfigurationError):
-            RoundScheduler(platform, use_batches=True)
-
     def test_batched_rounds_report_makespan(self):
         platform = make_platform(batch=BatchConfig(batch_size=8, max_parallel=4, seed=6))
         scheduler = RoundScheduler(platform, redundancy=2, use_batches=True)

@@ -7,8 +7,10 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.engine import CrowdEngine
 from repro.core.requester import Requester
-from repro.errors import BudgetExceededError, ConfigurationError
+from repro.errors import BudgetExceededError, ConfigurationError, RetryExhaustedError
+from repro.hybrid import ActiveLearner
 from repro.lang.executor import CrowdOracle
+from repro.operators.findfixverify import proofreading_dataset
 from repro.platform.platform import SimulatedPlatform
 from repro.quality.truth import DawidSkene
 from repro.workers.pool import WorkerPool
@@ -213,6 +215,106 @@ class TestEngineExtendedOperators:
         documents = proofreading_dataset(3, seed=9)
         result = engine.find_fix_verify(documents, find_redundancy=3)
         assert len(result.corrected) == 3
+
+
+def _count(engine):
+    result = engine.count(list(range(40)), "small?", lambda i: i < 10, sample_size=10)
+    assert result.value == 0  # no evidence: no item counted
+    return result
+
+
+def _fill(engine):
+    engine.sql(
+        "CREATE TABLE c (k STRING, v STRING CROWD);"
+        "INSERT INTO c (k) VALUES ('x'), ('y')"
+    )
+    result = engine.fill("c", truth_fn=lambda row, col: row["k"] + "!")
+    assert result.filled_cells == 0 and not result.values
+    return result
+
+
+def _categorize(engine):
+    result = engine.categorize(
+        ["dog", "cat", "tuna"],
+        ("mammal", "fish"),
+        truth_fn=lambda item: "fish" if item == "tuna" else "mammal",
+    )
+    assert result.labels == {} and result.groups == {}
+    return result
+
+
+def _match_schemas(engine):
+    result = engine.match_schemas(
+        ("cust_name",), ("customer", "region"), truth={"cust_name": "customer"},
+        prune_below=0.0,
+    )
+    assert result.correspondences == {}
+    return result
+
+
+def _plan(engine):
+    graph = {"s": ["a", "b"], "a": ["t"], "b": ["t"], "t": []}
+    result = engine.plan(graph, lambda u, v: 0.5, "s", steps=2, strategy="greedy")
+    assert result.path == ["s"]  # no confirmed step
+    return result
+
+
+def _find_fix_verify(engine):
+    documents = proofreading_dataset(3, seed=9)
+    result = engine.find_fix_verify(documents, find_redundancy=3)
+    assert result.corrected == [list(doc.words) for doc in documents]
+    return result
+
+
+def _active_learner(engine):
+    items = [f"doc {i}" for i in range(12)]
+    learner = ActiveLearner(
+        engine.platform, ("a", "b"), truth_fn=lambda d: "a", batch_size=4, seed=1
+    )
+    result = learner.run(items, label_budget=8)
+    assert result.crowd_labels == {}
+    return result
+
+
+def _requester(engine):
+    report = Requester(engine.platform).submit("job", make_choice_tasks(6, seed=1))
+    assert report.truths == {}
+    return report
+
+
+FORMER_COLLECT_CALLERS = [
+    _count, _fill, _categorize, _match_schemas, _plan, _find_fix_verify,
+    _active_learner, _requester,
+]
+
+
+class TestPurchasesGoThroughScheduler:
+    """Every operator buys through the batch scheduler, so the fault model,
+    the failure policy and the simulated clock apply to all of them."""
+
+    FAULTY = dict(seed=5, pool_size=20, abandon_rate=1.0, retry_limit=0)
+
+    def test_count_raises_when_retries_run_out(self):
+        engine = CrowdEngine(EngineConfig(**self.FAULTY))
+        with pytest.raises(RetryExhaustedError):
+            engine.count(list(range(40)), "small?", lambda i: i < 10, sample_size=10)
+
+    @pytest.mark.parametrize("operation", FORMER_COLLECT_CALLERS, ids=lambda f: f.__name__[1:])
+    def test_degrade_returns_with_no_evidence(self, operation):
+        engine = CrowdEngine(EngineConfig(failure_policy="degrade", **self.FAULTY))
+        operation(engine)
+        assert engine.stats.assignments_abandoned > 0
+        assert engine.stats.answers_collected == 0
+        assert engine.stats.batches_dispatched > 0
+        assert engine.scheduler.simulated_clock > 0.0
+
+    def test_purchases_advance_batch_stats_and_clock(self):
+        engine = CrowdEngine(EngineConfig(seed=5, pool_size=20))
+        engine.count(list(range(40)), "small?", lambda i: i < 10, sample_size=10)
+        assert engine.stats.answers_collected == 30
+        assert engine.stats.batches_dispatched == 1
+        assert engine.stats.assignments_dispatched == 30
+        assert engine.scheduler.simulated_clock > 0.0
 
 
 class TestEngineRobustness:

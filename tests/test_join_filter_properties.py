@@ -9,6 +9,8 @@ duplicate keys and composite keys:
 - rows *and* row order equal the row path's;
 - an expression that raises does so exactly when the row path raises,
   with the same error;
+- the row path's own machine join (hash probe on the equi keys, nested
+  loop without any) returns a plain nested loop's rows in its order;
 - with a CROWDFILTER above the join, the pipelined executor buys the same
   answers and returns the same rows and stats as the barrier executor.
 """
@@ -85,6 +87,15 @@ _CONDITIONS = {
     "composite": And(Comparison("=", col("a"), col("k")), Comparison("=", col("s"), col("t"))),
     "string": Comparison("=", col("t"), col("s")),
     "residual": And(Comparison("=", col("a"), col("k")), Comparison("<", col("b"), col("r"))),
+}
+
+
+#: Row-path join conditions: the equi shapes above plus two without any
+#: equi key, which take the nested-loop fallback.
+_ROW_CONDITIONS = {
+    **_CONDITIONS,
+    "theta": Comparison("<", col("b"), col("r")),
+    "either": Or(Comparison("=", col("a"), col("k")), Comparison("=", col("s"), col("t"))),
 }
 
 
@@ -166,6 +177,22 @@ def test_filtered_join_rows_and_order_match_row_path(
     expected = _outcome(_row_path(_database(left, right), _platform()), root)
     assert expected[0] == "rows"
     assert _outcome(fast, root) == expected
+
+
+@given(left=_LEFT, right=_RIGHT, condition=st.sampled_from(sorted(_ROW_CONDITIONS)))
+@settings(max_examples=120, deadline=None)
+def test_row_path_join_matches_nested_loop(left, right, condition):
+    predicate = _ROW_CONDITIONS[condition]
+    database = _database(left, right)
+    lrows = [row.as_dict() for row in database.table("l")]
+    rrows = [row.as_dict() for row in database.table("r")]
+    expected = [
+        tuple((k, repr(v)) for k, v in merged.items())
+        for merged in ({**lrow, **rrow} for lrow in lrows for rrow in rrows)
+        if predicate.evaluate(merged) is True
+    ]
+    root = JoinNode(ScanNode("l"), ScanNode("r"), predicate)
+    assert _outcome(_row_path(database, _platform()), root) == ("rows", expected)
 
 
 @given(

@@ -297,12 +297,6 @@ class TestKillAndResume:
                 make_tasks(16), resume=True
             )
 
-    def test_runner_requires_scheduler(self, tmp_path):
-        pool = WorkerPool.heterogeneous(4, accuracy_low=0.7, accuracy_high=0.9, seed=0)
-        platform = SimulatedPlatform(pool, seed=1)
-        with pytest.raises(CheckpointError):
-            CheckpointingRunner(platform, tmp_path)
-
     def test_churn_joiners_survive_restore(self, tmp_path):
         plan = FaultPlan(
             seed=5,
