@@ -36,7 +36,7 @@ class ActiveLearningResult:
     crowd_labels: dict[int, Any]             # item index -> inferred label
     final_labels: list[Any]                  # full dataset (crowd or model)
     model: NaiveBayesText
-    crowd_questions: int
+    crowd_questions: int                     # answers collected
     cost: float
     trajectory: list[tuple[int, float]] = field(default_factory=list)
     # (crowd-labeled count, heldout model accuracy) checkpoints
@@ -90,7 +90,10 @@ class ActiveLearner:
 
     # ------------------------------------------------------------------ #
 
-    def _crowd_label(self, items: Sequence[str], indices: list[int]) -> dict[int, Any]:
+    def _crowd_label(
+        self, items: Sequence[str], indices: list[int]
+    ) -> tuple[dict[int, Any], int]:
+        """Crowd labels of the answered *indices*, and the answers bought."""
         tasks = []
         index_of_task: dict[str, int] = {}
         for i in indices:
@@ -105,7 +108,8 @@ class ActiveLearner:
         collected = self.platform.collect(tasks, redundancy=self.redundancy)
         # Items with no answers (skip/degrade policy) come back unlabeled.
         inferred = infer_evidence(self.inference, collected)
-        return {index_of_task[t]: label for t, label in inferred.truths.items()}
+        labels = {index_of_task[t]: label for t, label in inferred.truths.items()}
+        return labels, sum(map(len, collected.values()))
 
     def _pick_batch(
         self,
@@ -144,8 +148,8 @@ class ActiveLearner:
             batch = self._pick_batch(items, unlabeled, model)[:remaining_budget]
             if not batch:
                 break
-            new_labels = self._crowd_label(items, batch)
-            questions += len(batch) * self.redundancy
+            new_labels, answered = self._crowd_label(items, batch)
+            questions += answered
             crowd_labels.update(new_labels)
             # Asked items leave the pool even when unanswered, so a failing
             # crowd cannot loop forever; the model labels them at the end.

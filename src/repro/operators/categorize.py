@@ -24,7 +24,7 @@ class CategorizeResult:
 
     labels: dict[int, Any]                 # item index -> category
     groups: dict[Any, list[int]] = field(default_factory=dict)
-    questions_asked: int = 0
+    questions_asked: int = 0               # answers collected
     cost: float = 0.0
     confidences: dict[int, float] = field(default_factory=dict)
 
@@ -115,7 +115,7 @@ class CrowdCategorize:
             result = CategorizeResult(
                 labels=labels,
                 groups=dict(groups),
-                questions_asked=len(tasks) * self.redundancy,
+                questions_asked=sum(map(len, collected.values())),
                 cost=self.platform.stats.cost_spent - before,
                 confidences=confidences,
             )

@@ -28,7 +28,7 @@ class CountResult:
 
     estimate: Estimate
     sample_indices: list[int]
-    questions_asked: int
+    questions_asked: int  # answers collected
     cost: float
 
     @property
@@ -101,7 +101,7 @@ class CrowdCount:
         return CountResult(
             estimate=estimate,
             sample_indices=chosen,
-            questions_asked=len(tasks) * self.redundancy,
+            questions_asked=sum(map(len, collected.values())),
             cost=self.platform.stats.cost_spent - before,
         )
 

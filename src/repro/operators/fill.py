@@ -23,7 +23,7 @@ class FillResult:
     """Outcome of a table-completion run."""
 
     filled_cells: int
-    questions_asked: int
+    questions_asked: int  # answers collected
     cost: float
     values: dict[tuple[int, str], Any] = field(default_factory=dict)
     confidences: dict[tuple[int, str], float] = field(default_factory=dict)
@@ -101,7 +101,7 @@ class CrowdFill:
 
         result = FillResult(
             filled_cells=0,
-            questions_asked=len(task_list) * self.redundancy,
+            questions_asked=sum(map(len, collected.values())),
             cost=0.0,
         )
         for task in task_list:

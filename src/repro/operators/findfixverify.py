@@ -120,9 +120,11 @@ class FindFixVerify:
             options=options,
             truth=truth,
         )
-        answers = self.platform.collect([task], redundancy=self.find_redundancy)
-        result.find_questions += self.find_redundancy
-        counts = Counter(a.value for a in answers.get(task.task_id, ()))
+        answers = self.platform.collect([task], redundancy=self.find_redundancy).get(
+            task.task_id, []
+        )
+        result.find_questions += len(answers)
+        counts = Counter(a.value for a in answers)
         if not counts:
             return None  # no answers (skip/degrade policy): nothing agreed on
         winner, votes = counts.most_common(1)[0]
@@ -141,10 +143,12 @@ class FindFixVerify:
             ),
             truth=correct if correct is not None else words[position],
         )
-        answers = self.platform.collect([task], redundancy=self.fix_candidates)
-        result.fix_questions += self.fix_candidates
+        answers = self.platform.collect([task], redundancy=self.fix_candidates).get(
+            task.task_id, []
+        )
+        result.fix_questions += len(answers)
         candidates = []
-        for answer in answers.get(task.task_id, ()):
+        for answer in answers:
             if answer.value and answer.value not in candidates:
                 candidates.append(answer.value)
         return candidates
@@ -171,7 +175,7 @@ class FindFixVerify:
             truth=truth,
         )
         answers = self.platform.collect([task], redundancy=self.verify_redundancy)
-        result.verify_questions += self.verify_redundancy
+        result.verify_questions += sum(map(len, answers.values()))
         # With no answers (skip/degrade policy) the original word stays.
         inferred = infer_evidence(self.inference, answers)
         return inferred.truths.get(task.task_id, words[position])

@@ -193,6 +193,12 @@ class TimelineResult:
         return float(np.percentile(list(self.completion_times.values()), q))
 
 
+def check_redundancy(redundancy: int) -> None:
+    """Reject a purchase of fewer than one answer per task."""
+    if redundancy < 1:
+        raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
+
+
 class SimulatedPlatform:
     """An in-process crowdsourcing marketplace backed by simulated workers.
 
@@ -458,8 +464,7 @@ class SimulatedPlatform:
         with faults off the draws are those of sampling each task's workers
         and calling :meth:`ask` for each in turn.
         """
-        if redundancy < 1:
-            raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
+        check_redundancy(redundancy)
         return self.scheduler.run(tasks, redundancy=redundancy, complete=complete).answers
 
     collect = collect_batch
@@ -486,8 +491,7 @@ class SimulatedPlatform:
         """
         from repro.platform.task import HIT  # local import, avoids cycle
 
-        if redundancy < 1:
-            raise PlatformError(f"redundancy must be >= 1, got {redundancy}")
+        check_redundancy(redundancy)
         if redundancy > len(self.pool.active_workers):
             raise NoWorkersAvailableError(
                 f"redundancy {redundancy} exceeds pool of "

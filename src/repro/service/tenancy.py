@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import BudgetExceededError, ConfigurationError
+from repro.platform.platform import check_redundancy
 
 if TYPE_CHECKING:
     from repro.platform.batch import BatchRunResult
@@ -198,6 +199,7 @@ class TenantPlatform:
         complete: bool = True,
     ) -> "dict[str, list[Answer]]":
         """Collect answers for *tasks* via the service dispatcher."""
+        check_redundancy(redundancy)
         return self._service.submit(
             self._tenant, tasks, redundancy=redundancy, complete=complete
         ).answers

@@ -308,6 +308,23 @@ class TestPurchasesGoThroughScheduler:
         assert engine.stats.batches_dispatched > 0
         assert engine.scheduler.simulated_clock > 0.0
 
+    @pytest.mark.parametrize(
+        "operation, questions",
+        [
+            (_count, lambda r: [r.questions_asked]),
+            (_fill, lambda r: [r.questions_asked]),
+            (_categorize, lambda r: [r.questions_asked]),
+            (_find_fix_verify, lambda r: [r.find_questions, r.fix_questions, r.verify_questions]),
+            (_active_learner, lambda r: [r.crowd_questions]),
+        ],
+        ids=["count", "fill", "categorize", "find_fix_verify", "active_learner"],
+    )
+    def test_degrade_reports_no_questions(self, operation, questions):
+        engine = CrowdEngine(EngineConfig(failure_policy="degrade", **self.FAULTY))
+        result = operation(engine)
+        assert engine.stats.answers_collected == 0
+        assert set(questions(result)) == {0}
+
     def test_purchases_advance_batch_stats_and_clock(self):
         engine = CrowdEngine(EngineConfig(seed=5, pool_size=20))
         engine.count(list(range(40)), "small?", lambda i: i < 10, sample_size=10)

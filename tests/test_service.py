@@ -25,6 +25,7 @@ from repro.errors import (
     AdmissionRejectedError,
     BudgetExceededError,
     ConfigurationError,
+    PlatformError,
     ServiceError,
 )
 from repro.lang.interpreter import CrowdSQLSession
@@ -97,6 +98,37 @@ class TestTenantRegistry:
         tenant = service.register("alice")
         with pytest.raises(ServiceError, match="not running"):
             service.submit(tenant, choice_tasks(1, "x"), redundancy=1)
+
+
+class TestRedundancyValidation:
+    """A tenant's platform rejects a bad purchase exactly like a plain one."""
+
+    @pytest.mark.parametrize("redundancy", [0, -1])
+    def test_tenant_platform_raises_platform_error_before_enqueue(
+        self, redundancy, monkeypatch
+    ):
+        plain = make_platform()
+        with pytest.raises(PlatformError, match="redundancy must be >= 1"):
+            plain.collect(choice_tasks(2, "plain"), redundancy=redundancy)
+
+        platform = make_platform()
+        with CrowdService(platform) as service:
+            tenant = service.register("alice")
+            enqueued = []
+            enqueue = service._enqueue
+
+            def spy(unit):
+                enqueued.append(unit)
+                enqueue(unit)
+
+            monkeypatch.setattr(service, "_enqueue", spy)
+            view = TenantPlatform(service, tenant)
+            tasks = choice_tasks(2, "tenant")
+            for buy in (view.collect, view.collect_batch):
+                with pytest.raises(PlatformError, match="redundancy must be >= 1"):
+                    buy(tasks, redundancy=redundancy)
+        assert enqueued == []
+        assert platform.stats.tasks_published == 0
 
 
 def run_plain(seed, pipeline=False):

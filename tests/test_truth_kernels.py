@@ -16,11 +16,16 @@ single-step tests below.
 
 import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InferenceError
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import activate, deactivate
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
@@ -35,6 +40,7 @@ from repro.quality.truth import (
     ZenCrowd,
     encode_observations,
 )
+from repro.quality.truth.dawid_skene import ONE_TASK_CACHE_SIZE, fit_one_task
 from repro.recovery import Checkpoint
 from repro.workers.pool import WorkerPool
 
@@ -366,3 +372,177 @@ class TestObservabilityContract:
         assert "converged" in span["tags"]
         iters = [s for s in sink.spans if s["name"] == "em.iteration"]
         assert iters and all(s["parent_id"] == span["span_id"] for s in iters)
+
+
+# --------------------------------------------------------------------------- #
+# The one-task Dawid–Skene memo: a hit is indistinguishable from a cold fit.
+# --------------------------------------------------------------------------- #
+
+MEMO_LABELS = ("a", "b", "c", "d")
+MEMO_WORKERS = tuple(f"w{i}" for i in range(5))
+
+
+@st.composite
+def one_task_cases(draw):
+    """One task's evidence (1-7 answers, 1-4 labels, repeated workers allowed),
+    warm-start qualities for some workers, and a DawidSkene configuration."""
+    n_answers = draw(st.integers(1, 7))
+    labels = MEMO_LABELS[: draw(st.integers(1, 4))]
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(MEMO_WORKERS), st.sampled_from(labels)),
+        min_size=n_answers, max_size=n_answers,
+    ))
+    warm = draw(st.dictionaries(
+        st.sampled_from(MEMO_WORKERS), st.floats(0.05, 1.0), max_size=3
+    ))
+    config = {
+        "max_iterations": draw(st.integers(1, 60)),
+        "tolerance": draw(st.sampled_from((1e-2, 1e-5, 1e-9))),
+        "smoothing": draw(st.sampled_from((0.001, 0.01, 0.5))),
+        "backend": draw(st.sampled_from(EM_BACKENDS)),
+    }
+    return _manual({"q": pairs}), warm, config
+
+
+def _ds(config, warm=None):
+    algo = DawidSkene(**config)
+    if warm:
+        algo.warm_start({"worker_quality": warm})
+    return algo
+
+
+def _observed_infer(algo, evidence):
+    """One infer under a fresh tracer and registry: the result, every span and
+    annotation (ids, parents, tags), every histogram sample and counter."""
+    sink = MemorySink()
+    tracer = Tracer(sink)
+    metrics = MetricsRegistry(enabled=True)
+    activate(tracer=tracer, metrics=metrics)
+    try:
+        result = algo.infer(evidence)
+    finally:
+        deactivate(tracer=tracer, metrics=metrics)
+    spans = [
+        (s["name"], s["kind"], s["span_id"], s["parent_id"], s["tags"]) for s in sink.spans
+    ]
+    samples = {key: list(h.values) for key, h in metrics.histograms.items()}
+    counters = {key: c.value for key, c in metrics.counters.items()}
+    return result, spans, samples, counters
+
+
+class TestOneTaskMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(one_task_cases())
+    def test_hit_equals_cold_fit(self, case):
+        evidence, warm, config = case
+        fit_one_task.cache_clear()
+        cold_algo = _ds(config, warm)
+        cold = _observed_infer(cold_algo, evidence)
+        assert fit_one_task.cache_info().misses == 1
+        # A separate instance shares the entry.
+        hit_algo = _ds(config, warm)
+        hit = _observed_infer(hit_algo, evidence)
+        info = fit_one_task.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+        cold_result, cold_spans, cold_samples, cold_counters = cold
+        hit_result, hit_spans, hit_samples, hit_counters = hit
+        for f in dataclasses.fields(cold_result):
+            assert getattr(hit_result, f.name) == getattr(cold_result, f.name), f.name
+        assert hit_spans == cold_spans
+        assert hit_samples == cold_samples
+        assert hit_counters == cold_counters
+        assert hit_samples["em.ds.delta"] == [
+            tags["delta"] for name, _, _, _, tags in hit_spans if name == "em.iteration"
+        ]
+        assert len(hit_samples["em.ds.delta"]) == hit_result.iterations
+        assert hit_algo.export_state() == cold_algo.export_state()
+
+    def test_results_are_fresh_and_cached_arrays_read_only(self):
+        evidence = _one_task(2, 1)
+        fit_one_task.cache_clear()
+        first = DawidSkene().infer(evidence)
+        first.truths["t"] = "mutated"
+        first.posteriors["t"]["a"] = -1.0
+        first.worker_quality.clear()
+        second = DawidSkene().infer(evidence)
+        assert second.truths == {"t": "a"}
+        assert second.posteriors["t"]["a"] > 0.5
+        assert second.worker_quality
+        assert fit_one_task.cache_info().hits == 1
+        obs = encode_observations(evidence)
+        fit = fit_one_task(
+            obs.n_workers, obs.n_labels, obs.obs_worker.tobytes(),
+            obs.obs_label.tobytes(), np.ones(obs.n_workers).tobytes(),
+            100, 1e-5, 0.01, "kernel",
+        )
+        assert fit_one_task.cache_info().hits == 2
+        for array in (fit.posteriors, fit.confusion):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+
+    def test_validation_runs_on_every_call(self):
+        evidence = _one_task(1, 1)
+        DawidSkene().infer(evidence)
+        misfiled = {"t": [Answer(task_id="other", worker_id="w", value="a")]}
+        with pytest.raises(InferenceError):
+            DawidSkene().infer(misfiled)
+        with pytest.raises(InferenceError):
+            DawidSkene().infer({"t": []})
+
+    def test_warm_start_and_backend_separate_keys(self):
+        evidence = _one_task(2, 1)
+        fit_one_task.cache_clear()
+        kernel = DawidSkene(backend="kernel").infer(evidence)
+        legacy = DawidSkene(backend="legacy").infer(evidence)
+        warm = DawidSkene()
+        warm.warm_start({"worker_quality": {"wa0": 0.2, "wb0": 0.9}})
+        warmed = warm.infer(evidence)
+        info = fit_one_task.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        _assert_equivalent(kernel, legacy)
+        assert warmed.posteriors != kernel.posteriors
+
+    def test_multi_task_evidence_is_never_cached(self):
+        fit_one_task.cache_clear()
+        evidence = _evidence(seed=5, n_tasks=20)
+        for _ in range(2):
+            DawidSkene().infer(evidence)
+        info = fit_one_task.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_cache_stays_within_its_bound(self):
+        fit_one_task.cache_clear()
+        evidence = _one_task(1, 1)
+        for i in range(ONE_TASK_CACHE_SIZE + 50):
+            DawidSkene(tolerance=0.1 + i * 1e-6).infer(evidence)
+        info = fit_one_task.cache_info()
+        assert info.misses == ONE_TASK_CACHE_SIZE + 50
+        assert info.currsize == ONE_TASK_CACHE_SIZE == info.maxsize
+
+    def test_concurrent_inference_matches_sequential(self):
+        cases = [_one_task(a, b) for a in range(4) for b in range(4) if a + b] * 3
+        configs = [{"backend": b} for b in EM_BACKENDS]
+        jobs = [(case, config) for case in cases for config in configs]
+        fit_one_task.cache_clear()
+        expected = [DawidSkene(**config).infer(case) for case, config in jobs]
+        fit_one_task.cache_clear()
+        barrier = threading.Barrier(8)
+        got = [[] for _ in range(8)]
+
+        def worker(slot):
+            barrier.wait()
+            got[slot] = [DawidSkene(**config).infer(case) for case, config in jobs]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(results == expected for results in got)
